@@ -289,20 +289,20 @@ def _cmd_verify(args) -> int:
     except KeyError as err:
         print(f"error: {err.args[0]}", file=sys.stderr)
         return 2
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"[{status}] {r.name}: {r.detail} ({r.seconds:.2f}s)")
     failed = sum(1 for r in results if not r.passed)
-    print(f"{len(results) - failed}/{len(results)} checks passed")
-    if args.json:
-        doc = {
-            "kind": "report",
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail}
-                for r in results
-            ],
-        }
-        print(json.dumps(doc, indent=2))
+    lines = [
+        f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail} ({r.seconds:.2f}s)"
+        for r in results
+    ]
+    lines.append(f"{len(results) - failed}/{len(results)} checks passed")
+    doc = {
+        "kind": "report",
+        "checks": [
+            {"name": r.name, "passed": r.passed, "detail": r.detail, "seconds": r.seconds}
+            for r in results
+        ],
+    }
+    _emit(args, "\n".join(lines), doc)
     return 0 if failed == 0 else 1
 
 

@@ -267,7 +267,9 @@ def demazure(f: Polynomial, i: int) -> Polynomial:
 
 
 def beta_component(f: Polynomial, d: int) -> Polynomial:
-    """The x-polynomial coefficient of b^d in f."""
+    """The x-polynomial coefficient of b^d in f; d must be nonnegative."""
+    if d < 0:
+        raise ValueError(f"b-layer must be nonnegative, got {d}")
     return Polynomial({Monomial(m.xexp, 0): c for m, c in f.items() if m.bexp == d})
 
 

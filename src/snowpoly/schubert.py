@@ -8,7 +8,6 @@ value.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
@@ -173,9 +172,9 @@ def expand_grothendieck_into_lascoux(
 ) -> dict[Composition, Polynomial]:
     """Coefficients g_alpha(b) with grothendieck(w) = sum g_alpha * lascoux(alpha).
 
-    Greedy elimination against the key-polynomial leading terms; if it fails
-    to finish within the step cap, an exact linear solve over the rationals
-    takes over. The reconstruction is verified before returning and the
+    Greedy elimination against the key-polynomial leading terms; running
+    past _EXPANSION_STEP_CAP steps raises ArithmeticError naming the step
+    count. The reconstruction is verified before returning and the
     coefficients are checked to be polynomials in b with nonnegative integer
     coefficients.
     """
@@ -186,15 +185,17 @@ def expand_grothendieck_into_lascoux(
     coeffs: dict[Composition, dict[int, int]] = {}
     remainder = target
     steps = 0
-    while remainder and steps < _EXPANSION_STEP_CAP:
+    while remainder:
+        if steps == _EXPANSION_STEP_CAP:
+            raise ArithmeticError(
+                f"greedy expansion of {w} did not finish within {steps} steps"
+            )
         steps += 1
         mono, coeff = _select_pivot(remainder)
         alpha = mono.xexp
         layer = coeffs.setdefault(alpha, {})
         layer[mono.bexp] = layer.get(mono.bexp, 0) + coeff
         remainder = remainder - coeff * Polynomial.term(1, (), mono.bexp) * lascoux(alpha)
-    if remainder:
-        coeffs = _expand_by_linear_solve(target, n)
     out: dict[Composition, Polynomial] = {}
     for alpha, layer in coeffs.items():
         g = Polynomial({Monomial((), b): c for b, c in layer.items() if c})
@@ -215,58 +216,6 @@ def _verify_lascoux_expansion(w, target, out, n):
             raise ArithmeticError(f"expansion of {w} leaves the box for n={n}: {alpha}")
         if any(c < 0 for _, c in g.items()):
             raise ArithmeticError(f"expansion of {w} has a negative coefficient at {alpha}")
-
-
-def _expand_by_linear_solve(target: Polynomial, n: int) -> dict[Composition, dict[int, int]]:
-    """Exact rational solve of target against the spanning set b^j * lascoux(alpha)."""
-    bmax = target.beta_degree()
-    columns: list[tuple[Composition, int, Polynomial]] = []
-    for alpha in enumerate_cn(n):
-        base = lascoux(alpha)
-        for j in range(bmax + 1):
-            columns.append((alpha, j, Polynomial.term(1, (), j) * base))
-    monos = sorted(
-        {m for _, _, p in columns for m in p.monomials()} | set(target.monomials()),
-        key=lambda m: (taillex_key(m.xexp), m.bexp),
-    )
-    index = {m: k for k, m in enumerate(monos)}
-    rows = len(monos)
-    matrix = [[Fraction(0)] * (len(columns) + 1) for _ in range(rows)]
-    for col, (_, _, p) in enumerate(columns):
-        for m, c in p.items():
-            matrix[index[m]][col] = Fraction(c)
-    for m, c in target.items():
-        matrix[index[m]][-1] = Fraction(c)
-    pivots: list[tuple[int, int]] = []
-    row_at = 0
-    for col in range(len(columns)):
-        pivot_row = next(
-            (r for r in range(row_at, rows) if matrix[r][col] != 0), None
-        )
-        if pivot_row is None:
-            continue
-        matrix[row_at], matrix[pivot_row] = matrix[pivot_row], matrix[row_at]
-        inv_p = 1 / matrix[row_at][col]
-        matrix[row_at] = [v * inv_p for v in matrix[row_at]]
-        for r in range(rows):
-            if r != row_at and matrix[r][col] != 0:
-                factor = matrix[r][col]
-                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[row_at])]
-        pivots.append((row_at, col))
-        row_at += 1
-    for r in range(row_at, rows):
-        if matrix[r][-1] != 0:
-            raise ArithmeticError("target lies outside the Lascoux span")
-    coeffs: dict[Composition, dict[int, int]] = {}
-    for r, col in pivots:
-        value = matrix[r][-1]
-        if value == 0:
-            continue
-        if value.denominator != 1:
-            raise ArithmeticError("expansion coefficient is not an integer")
-        alpha, j, _ = columns[col]
-        coeffs.setdefault(alpha, {})[j] = int(value)
-    return coeffs
 
 
 # -- bases of the top span ------------------------------------------------------

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from snowpoly import verify
 from snowpoly.cli import (
     main,
     parse_cells,
@@ -93,6 +94,40 @@ def test_verify_all_at_scale_4(capsys):
     assert "[FAIL]" not in out
 
 
+def test_verify_fails_on_an_empty_set(capsys):
+    # S_1 has no pair of permutations to compare
+    code, out, _ = run_cli(capsys, "verify", "psw", "1")
+    assert code == 1
+    assert "[FAIL] proportional iff equal rajcode: 0 pairs checked" in out
+
+
+def test_verify_json_is_one_document(capsys):
+    code, out, _ = run_cli(capsys, "verify", "tables", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["kind"] == "report"
+    [check] = doc["checks"]
+    assert check["name"] == "tables" and check["passed"]
+    assert check["detail"] == "48/48 table rows match"
+    assert check["seconds"] >= 0
+
+
+def test_verify_times_each_check_from_the_previous_one(monkeypatch):
+    ticks = iter([10.0, 11.0, 13.0, 16.0])
+    monkeypatch.setattr(verify.time, "perf_counter", lambda: next(ticks))
+
+    def suite(scale):
+        results = []
+        for name in ("a", "b", "c"):
+            verify._check(results, name, True, "ok")
+        return results
+
+    monkeypatch.setitem(verify.SUITES, "fake", (suite, 1))
+    results = verify.run_suite("fake")
+    assert [(r.name, r.seconds) for r in results] == [("a", 1.0), ("b", 2.0), ("c", 3.0)]
+    assert sum(r.seconds for r in results) == 16.0 - 10.0  # the suite's wall time
+
+
 def test_parse_errors_exit_2(capsys):
     code, _, err = run_cli(capsys, "groth", "12x")
     assert code == 2 and "error" in err
@@ -100,6 +135,16 @@ def test_parse_errors_exit_2(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "rajcode", "--cells", "1;2")
     assert code == 2
+    for argv in (
+        ["verify", "psw", "0"],
+        ["verify", "qbell", "0"],
+        ["verify", "all", "-1"],
+        ["groth", "1324", "--beta", "-1"],
+        ["lascoux", "0,2,1", "--beta", "-1"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "error" in err
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])
     assert exc.value.code == 2

@@ -151,15 +151,6 @@ def test_witness_trivial_and_021():
     assert g in KKD_021
 
 
-def test_witness_realizes_rajcode_over_the_box():
-    for alpha in enumerate_cn(5):
-        g = witness_diagram(alpha)
-        assert g.cells == snow(key_diagram(alpha)).cells
-        assert g.weight() == rajcode(alpha)
-        assert g.excess == raj(alpha) - sum(alpha)
-        assert g in enumerate_kkd(alpha)
-
-
 def test_lascoux_contains_rajcode_term():
     for alpha in enumerate_cn(4):
         poly = lascoux(alpha)

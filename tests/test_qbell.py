@@ -27,7 +27,6 @@ from snowpoly.qbell import (
     qp_add,
     qp_mul,
     qp_rev,
-    qp_trim,
     stirling,
 )
 
@@ -89,12 +88,6 @@ def test_gr_and_nw_examples():
         gr_stat(RookDiagram({(1, 4)}), 3)
 
 
-def test_gr_plus_nw_is_staircase_size():
-    for n in range(1, 8):
-        for rook in enumerate_rook_n(n):
-            assert gr_stat(rook, n) + nw_stat(rook) == n * (n - 1) // 2
-
-
 def test_nw_equals_raj_of_snowy_inverse():
     for n in range(1, 7):
         for rook in enumerate_rook_n(n):
@@ -110,22 +103,6 @@ def test_snow_raj_matches_closed_formula_and_nw_per_placement():
             snow_raj = raj(alpha)
             assert snow_raj == sum(rajcode_snowy_direct(alpha))
             assert snow_raj == nw_stat(RookDiagram(placement))
-
-
-def test_gr_generating_functions():
-    for n in range(1, 8):
-        rooks = enumerate_rook_n(n)
-        top = n * (n - 1) // 2
-        total = [0] * (top + 1)
-        for rook in rooks:
-            total[gr_stat(rook, n)] += 1
-        assert qp_trim(total) == q_bell(n)
-        for k in range(n + 1):
-            by_k = [0] * (top + 1)
-            for rook in rooks:
-                if len(rook) == n - k:
-                    by_k[gr_stat(rook, n)] += 1
-            assert qp_trim(by_k) == q_stirling(n, k)
 
 
 def test_hilb_vn_values():

@@ -1,10 +1,11 @@
 """Recursions, top layers, and basis expansions."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from snowpoly import compositions, permutations
+from snowpoly import compositions, permutations, schubert
 from snowpoly.compositions import enumerate_cn, is_snowy, s_action
 from snowpoly.permutations import all_permutations, canonical, is_inverse_fireworks
 from snowpoly.polyring import (
@@ -12,6 +13,7 @@ from snowpoly.polyring import (
     demazure,
     divided_difference,
     leading_monomial_taillex,
+    taillex_key,
 )
 from snowpoly.schubert import (
     _grothendieck,
@@ -118,12 +120,6 @@ def test_top_lascoux_recursive_examples():
         top_lascoux_recursive((1, 1))
 
 
-def test_top_lascoux_recursive_matches_top_layer():
-    for alpha in enumerate_cn(5):
-        if is_snowy(alpha):
-            assert top_lascoux_recursive(alpha) == top_lascoux(alpha)
-
-
 def test_ascent_choice_independence():
     for w in all_permutations(4):
         assert grothendieck(w) == groth_largest_ascent(w)
@@ -178,18 +174,6 @@ def test_expand_top_rejects_outsiders():
         expand_top_into_snowy_basis(B * Polynomial.x(1), 4)
 
 
-def test_expand_top_positive_over_s5():
-    for w in all_permutations(5):
-        top = top_grothendieck(w)
-        coeffs = expand_top_into_snowy_basis(top, 5)
-        assert all(c > 0 for c in coeffs.values())
-        rebuilt = Polynomial.zero()
-        for alpha, c in coeffs.items():
-            assert is_snowy(alpha)
-            rebuilt = rebuilt + c * top_lascoux(alpha)
-        assert rebuilt == top
-
-
 def test_tops_of_positive_combinations_expand_positively():
     rng = random.Random(2718)
     comps = enumerate_cn(4)
@@ -224,17 +208,68 @@ def test_expand_grothendieck_over_s4():
             assert all(c > 0 for _, c in g.items())
 
 
-def test_linear_solve_fallback_agrees_with_greedy():
-    from snowpoly.schubert import _expand_by_linear_solve
+def expand_by_linear_solve(target, n):
+    """Oracle for the greedy Lascoux expansion: exact rational solve of target
+    against the spanning set b^j * lascoux(alpha), alpha in the box for n."""
+    bmax = target.beta_degree()
+    columns = []
+    for alpha in enumerate_cn(n):
+        base = lascoux(alpha)
+        for j in range(bmax + 1):
+            columns.append((alpha, j, Polynomial.term(1, (), j) * base))
+    monos = sorted(
+        {m for _, _, p in columns for m in p.monomials()} | set(target.monomials()),
+        key=lambda m: (taillex_key(m.xexp), m.bexp),
+    )
+    index = {m: k for k, m in enumerate(monos)}
+    rows = len(monos)
+    matrix = [[Fraction(0)] * (len(columns) + 1) for _ in range(rows)]
+    for col, (_, _, p) in enumerate(columns):
+        for m, c in p.items():
+            matrix[index[m]][col] = Fraction(c)
+    for m, c in target.items():
+        matrix[index[m]][-1] = Fraction(c)
+    pivots = []
+    row_at = 0
+    for col in range(len(columns)):
+        pivot_row = next((r for r in range(row_at, rows) if matrix[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        matrix[row_at], matrix[pivot_row] = matrix[pivot_row], matrix[row_at]
+        inv_p = 1 / matrix[row_at][col]
+        matrix[row_at] = [v * inv_p for v in matrix[row_at]]
+        for r in range(rows):
+            if r != row_at and matrix[r][col] != 0:
+                factor = matrix[r][col]
+                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[row_at])]
+        pivots.append((row_at, col))
+        row_at += 1
+    assert all(matrix[r][-1] == 0 for r in range(row_at, rows)), "outside the span"
+    coeffs = {}
+    for r, col in pivots:
+        value = matrix[r][-1]
+        if value:
+            assert value.denominator == 1, "coefficient is not an integer"
+            alpha, j, _ = columns[col]
+            coeffs.setdefault(alpha, {})[j] = int(value)
+    return coeffs
 
+
+def test_linear_solve_fallback_agrees_with_greedy():
     for w in [(2, 1, 4, 3), (1, 4, 3, 2), (2, 4, 1, 3)]:
         greedy = expand_grothendieck_into_lascoux(w, 4)
-        solved = _expand_by_linear_solve(grothendieck(w), 4)
+        solved = expand_by_linear_solve(grothendieck(w), 4)
         solved_polys = {
             alpha: Polynomial.from_terms((c, (), b) for b, c in layer.items())
             for alpha, layer in solved.items()
         }
         assert solved_polys == greedy
+
+
+def test_expansion_step_cap_raises(monkeypatch):
+    monkeypatch.setattr(schubert, "_EXPANSION_STEP_CAP", 1)
+    with pytest.raises(ArithmeticError, match="within 1 steps"):
+        expand_grothendieck_into_lascoux((2, 1, 4, 3), 4)
 
 
 # -- bases ---------------------------------------------------------------------------
