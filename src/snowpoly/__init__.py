@@ -2,7 +2,7 @@
 statistics, K-Kohnert enumeration, and the q-Bell Hilbert series, all in
 exact integer arithmetic."""
 
-from . import cli, compositions, diagrams, kkohnert, permutations, polyring, qbell, schubert
+from . import compositions, diagrams, kkohnert, permutations, polyring, qbell, schubert
 from .compositions import (
     dark_inverse,
     enumerate_cn,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from . import compositions, diagrams, permutations, qbell, schubert
@@ -45,19 +44,8 @@ def _check(
 
 
 def is_scalar_multiple(f: Polynomial, g: Polynomial) -> bool:
-    """True when f = c * g for some nonzero rational c."""
-    if f.is_zero() or g.is_zero():
-        return f.is_zero() and g.is_zero()
-    monos = set(f.monomials())
-    if monos != set(g.monomials()):
-        return False
-    mono = next(iter(monos))
-    ratio = Fraction(
-        f.coefficient(mono.xexp, mono.bexp), g.coefficient(mono.xexp, mono.bexp)
-    )
-    return all(
-        Fraction(cf) == ratio * g.coefficient(m.xexp, m.bexp) for m, cf in f.items()
-    )
+    """True when f = c * g for some nonzero rational c, or both are zero."""
+    return f.ray() == g.ray()
 
 
 # -- suites ---------------------------------------------------------------------
@@ -131,10 +119,19 @@ def _top_layer_checks(results, items, top, rajcode, is_unit, noun, unit_noun):
         len(items),
     )
     pairs = len(items) * (len(items) - 1) // 2
+    # each top layer's ray (its normal form under rational scaling) and each
+    # rajcode is interned once, so every pair compares two small integers
+    ray_ids: dict[frozenset, int] = {}
+    code_ids: dict[tuple, int] = {}
+    labels = [
+        (
+            ray_ids.setdefault(tops[v].ray(), len(ray_ids)),
+            code_ids.setdefault(codes[v], len(code_ids)),
+        )
+        for v in items
+    ]
     bad_pairs = sum(
-        1
-        for u, v in combinations(items, 2)
-        if is_scalar_multiple(tops[u], tops[v]) != (codes[u] == codes[v])
+        1 for (ru, cu), (rv, cv) in combinations(labels, 2) if (ru == rv) != (cu == cv)
     )
     _check(
         results,
@@ -280,20 +277,18 @@ def suite_qbell(scale: int = 7) -> list[CheckResult]:
     for n in range(1, scale + 1):
         rooks = qbell.enumerate_rook_n(n)
         top = n * (n - 1) // 2
-        gr_sum = [0] * (top + 1)
+        # by_blocks[k][g]: placements with n - k rooks (k blocks) and gr = g
+        by_blocks = [[0] * (top + 1) for _ in range(n + 1)]
         for rook in rooks:
             g = qbell.gr_stat(rook, n)
-            gr_sum[g] += 1
+            by_blocks[n - len(rook)][g] += 1
             if g + qbell.nw_stat(rook) != top:
                 ok = False
+        gr_sum = [sum(column) for column in zip(*by_blocks)]
         if qbell.qp_trim(gr_sum) != qbell.q_bell(n) or len(qbell.q_bell(n)) - 1 != top:
             ok = False
         for k in range(n + 1):
-            by_size = [0] * (top + 1)
-            for rook in rooks:
-                if len(rook) == n - k:
-                    by_size[qbell.gr_stat(rook, n)] += 1
-            if qbell.qp_trim(by_size) != qbell.q_stirling(n, k):
+            if qbell.qp_trim(by_blocks[k]) != qbell.q_stirling(n, k):
                 ok = False
         if len(rooks) != qbell.bell(n) or sum(qbell.q_bell(n)) != qbell.bell(n):
             ok = False

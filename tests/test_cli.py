@@ -1,7 +1,10 @@
 """Command-line interface: text goldens, JSON round trips, exit codes."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -190,3 +193,18 @@ def test_rendering_is_order_independent():
 def test_render_negative_coefficients():
     p = Polynomial.from_terms([(1, (1,), 0), (-2, (0, 1), 0)])
     assert render_polynomial(p) == "x1 - 2*x2"
+
+
+def test_module_entry_point_runs_without_warnings():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "snowpoly.cli", "rajcode", "--perm", "1324"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.strip() == "(1,1) raj=2"

@@ -1,6 +1,7 @@
 """Polynomial ring, operators, and their algebraic identities."""
 
 import random
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from snowpoly.polyring import (
     Monomial,
     Polynomial,
     beta_component,
+    check_divided_difference,
     demazure,
     divided_difference,
     leading_monomial_taillex,
@@ -51,11 +53,74 @@ def test_canonical_form_trims_and_drops_zeros():
     p = poly_of((1, (1, 0, 0), 0), (-1, (1,), 0))
     assert p.is_zero()
     assert Monomial.make((2, 0, 0)) == Monomial((2,), 0)
+    assert Polynomial({Monomial((2, 0), 1): 1}) == poly_of((1, (2,), 1))
 
 
 def test_monomial_rejects_negative_exponents():
     with pytest.raises(ValueError):
         Monomial.make((-1,))
+
+
+def _random_triples(rng, nvars=4, max_exp=3, terms=6):
+    return [
+        (
+            rng.randint(-5, 5),
+            tuple(rng.randint(0, max_exp) for _ in range(rng.randint(0, nvars))),
+            rng.randint(0, 2),
+        )
+        for _ in range(rng.randint(0, terms))
+    ]
+
+
+def test_items_and_coefficients_round_trip():
+    rng = random.Random(2718)
+    for _ in range(200):
+        triples = _random_triples(rng)
+        p = Polynomial.from_terms(triples)
+        assert Polynomial(p.items()) == p
+        assert Polynomial(dict(p.items())) == p
+        assert list(p.monomials()) == [m for m, _ in p.items()]
+        expected: dict[tuple, int] = {}
+        for c, x, b in triples:
+            mono = Monomial.make(x, b)
+            expected[mono] = expected.get(mono, 0) + c
+        assert dict(p.items()) == {m: c for m, c in expected.items() if c}
+        for c, x, b in triples:
+            assert p.coefficient(x, b) == expected[Monomial.make(x, b)]
+            assert p.coefficient(tuple(x) + (0, 0), b) == p.coefficient(x, b)
+        for m, c in p.items():
+            assert m == Monomial.make(m.xexp, m.bexp)
+            assert p.coefficient(m.xexp, m.bexp) == c
+
+
+def naive_product(f, g):
+    """Oracle product over Monomial views: exponents added with zip_longest."""
+    out: dict[Monomial, int] = {}
+    for ma, ca in f.items():
+        for mb, cb in g.items():
+            xexp = tuple(a + b for a, b in zip_longest(ma.xexp, mb.xexp, fillvalue=0))
+            mono = Monomial.make(xexp, ma.bexp + mb.bexp)
+            out[mono] = out.get(mono, 0) + ca * cb
+    return Polynomial(out)
+
+
+_TRIPLES = st.lists(
+    st.tuples(
+        st.integers(-3, 3),
+        st.lists(st.integers(0, 3), max_size=5),
+        st.integers(0, 2),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TRIPLES, _TRIPLES)
+def test_product_matches_naive_reference(ftriples, gtriples):
+    f = Polynomial.from_terms((c, tuple(x), b) for c, x, b in ftriples)
+    g = Polynomial.from_terms((c, tuple(x), b) for c, x, b in gtriples)
+    assert f * g == naive_product(f, g)
+    assert g * f == f * g
 
 
 # -- variable swap ------------------------------------------------------------
@@ -107,6 +172,53 @@ def test_divided_difference_reconstruction_identity():
         i = rng.randint(1, 4)
         lhs = (Polynomial.x(i) - Polynomial.x(i + 1)) * divided_difference(f, i)
         assert lhs == f - swap_action(f, i)
+
+
+def test_identity_check_accepts_the_quotient():
+    rng = random.Random(4242)
+    for _ in range(200):
+        f = _random_poly(rng)
+        i = rng.randint(1, 4)
+        check_divided_difference(f, i, divided_difference(f, i))
+    check_divided_difference(Polynomial.zero(), 2, Polynomial.zero())
+
+
+def _corruptions(q: Polynomial, i: int):
+    """Polynomials that differ from q in one term: dropped, sign flipped,
+    or with one exponent shifted."""
+    terms = list(q.items())
+    for k, (mono, c) in enumerate(terms):
+        rest = terms[:k] + terms[k + 1 :]
+        yield "dropped", Polynomial(rest)
+        yield "sign", Polynomial(rest + [(mono, -c)])
+        for var in (i, i + 1, i + 2):
+            xexp = list(mono.xexp) + [0] * (var - len(mono.xexp))
+            xexp[var - 1] += 1
+            yield "shifted", Polynomial(rest + [(Monomial.make(xexp, mono.bexp), c)])
+        yield "shifted", Polynomial(rest + [(Monomial(mono.xexp, mono.bexp + 1), c)])
+
+
+def test_identity_check_rejects_corrupted_quotients():
+    f = poly_of((1, (3, 1), 0), (2, (0, 2, 1), 1), (-1, (1,), 0))
+    q = divided_difference(f, 1)
+    assert len(q) >= 3
+    rng = random.Random(31)
+    cases = [(f, 1, q)]
+    while len(cases) < 40:
+        g = _random_poly(rng)
+        i = rng.randint(1, 4)
+        d = divided_difference(g, i)
+        if d:
+            cases.append((g, i, d))
+    seen = set()
+    for g, i, d in cases:
+        for kind, bad in _corruptions(d, i):
+            seen.add(kind)
+            with pytest.raises(ArithmeticError):
+                check_divided_difference(g, i, bad)
+    assert seen == {"dropped", "sign", "shifted"}
+    with pytest.raises(ArithmeticError):
+        check_divided_difference(X1, 1, Polynomial.zero())
 
 
 def test_divided_difference_squares_to_zero_and_symmetry():

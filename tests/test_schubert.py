@@ -156,6 +156,23 @@ def test_proportional_tops_within_equivalence_classes():
                 assert is_scalar_multiple(top_lascoux(a), top_lascoux(b))
 
 
+def test_is_scalar_multiple_edge_cases():
+    from snowpoly.verify import is_scalar_multiple
+
+    zero = Polynomial.zero()
+    x1 = Polynomial.x(1)
+    f = poly_of((3, (1, 2), 0), (-2, (0, 1, 1), 1), (5, (), 2))
+    assert is_scalar_multiple(zero, zero)
+    assert not is_scalar_multiple(zero, f)
+    assert not is_scalar_multiple(f, zero)
+    assert is_scalar_multiple(f, -2 * f)
+    assert is_scalar_multiple(-2 * f, f)
+    assert not is_scalar_multiple(f, f + x1)
+    # same support, coefficients in ratios 1 : 1 : 2 rather than a constant
+    g = poly_of((3, (1, 2), 0), (-2, (0, 1, 1), 1), (10, (), 2))
+    assert not is_scalar_multiple(f, g)
+
+
 # -- expansions ---------------------------------------------------------------------
 
 
