@@ -9,6 +9,7 @@ so the closure from any starting diagram is finite.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -102,12 +103,14 @@ def enumerate_kkd(alpha: Iterable[int]) -> frozenset[GhostDiagram]:
     return kkd_closure(key_diagram(canonical(alpha)))
 
 
+def generating_sum(closure: Iterable[GhostDiagram]) -> Polynomial:
+    """Sum of x^weight * b^excess over the diagrams, tallied in one pass."""
+    return Polynomial(Counter((g.weight(), g.excess) for g in closure))
+
+
 def kkohnert_polynomial(start: Diagram) -> Polynomial:
     """Generating sum of x^weight * b^excess over the closure of any diagram."""
-    total = Polynomial.zero()
-    for g in kkd_closure(start):
-        total = total + Polynomial.term(1, g.weight(), g.excess)
-    return total
+    return generating_sum(kkd_closure(start))
 
 
 def lascoux_via_kkd(alpha: Iterable[int]) -> Polynomial:

@@ -99,16 +99,23 @@ def inv(w: Iterable[int]) -> int:
     return sum(invcode(w))
 
 
+def lis_lengths(w: Iterable[int]) -> list[int]:
+    """Entry k is the length of the longest increasing subsequence starting
+    at position k + 1, for every position in one right-to-left pass."""
+    w = tuple(w)
+    best = [1] * len(w)
+    for i in range(len(w) - 2, -1, -1):
+        wi = w[i]
+        best[i] = 1 + max((best[j] for j in range(i + 1, len(w)) if w[j] > wi), default=0)
+    return best
+
+
 def lis_from(w: Iterable[int], q: int) -> int:
     """Length of the longest increasing subsequence starting with the value q."""
     w = tuple(w)
     if q not in w:
         raise ValueError(f"value {q} does not occur in {w}")
-    best = [1] * len(w)
-    for i in range(len(w) - 1, -1, -1):
-        longer = [best[j] for j in range(i + 1, len(w)) if w[j] > w[i]]
-        best[i] = 1 + max(longer, default=0)
-    return best[w.index(q)]
+    return lis_lengths(w)[w.index(q)]
 
 
 def rajcode(w: Iterable[int], n: int | None = None) -> tuple[int, ...]:
@@ -117,8 +124,7 @@ def rajcode(w: Iterable[int], n: int | None = None) -> tuple[int, ...]:
     w = canonical(w)
     if n is None:
         n = len(w)
-    full = ambient(w, n)
-    code = [n + 1 - r - lis_from(full, full[r - 1]) for r in range(1, n + 1)]
+    code = [n - r - lis for r, lis in enumerate(lis_lengths(ambient(w, n)))]
     while code and code[-1] == 0:
         code.pop()
     return tuple(code)

@@ -359,6 +359,14 @@ def top_component(f: Polynomial) -> tuple[int, Polynomial]:
     return d, beta_component(f, d)
 
 
+def bottom_component(f: Polynomial) -> tuple[int, Polynomial]:
+    """The least d with a nonzero b^d layer, together with that layer."""
+    if f.is_zero():
+        raise ValueError("bottom component of the zero polynomial is undefined")
+    d = min(k[0] for k in f._terms)
+    return d, beta_component(f, d)
+
+
 def leading_monomial_taillex(f: Polynomial) -> tuple[Monomial, int]:
     """Tail-lex maximal monomial of a pure x-polynomial, with its coefficient."""
     if f.is_zero():

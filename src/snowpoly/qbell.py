@@ -47,11 +47,6 @@ def qp_mul(p: QPolynomial, q: QPolynomial, degree_cap: int | None = None) -> QPo
     return qp_trim(out)
 
 
-def qp_degree(p: QPolynomial) -> int:
-    """Degree of a trimmed q-polynomial; -1 for zero."""
-    return len(p) - 1
-
-
 def qp_rev(p: QPolynomial) -> QPolynomial:
     """Reverse the coefficient vector: q^deg * p(1/q)."""
     return qp_trim(reversed(p))

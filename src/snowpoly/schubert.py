@@ -14,7 +14,7 @@ from typing import Iterable
 from . import compositions, permutations
 from .compositions import (
     Composition,
-    enumerate_cn,
+    enumerate_snowy_cn,
     in_cn,
     is_snowy,
     s_action,
@@ -25,6 +25,7 @@ from .polyring import (
     Monomial,
     Polynomial,
     beta_component,
+    bottom_component,
     demazure,
     divided_difference,
     leading_monomial_taillex,
@@ -125,46 +126,24 @@ def _top_lascoux_recursive(alpha: Composition) -> Polynomial:
 def expand_top_into_snowy_basis(f: Polynomial, n: int) -> dict[Composition, int]:
     """Expand a member of the top span into the snowy top Lascoux basis.
 
-    Greedy elimination on tail-lex leading monomials: each leading monomial
-    must be the rajcode of a snowy composition in the box for n, whose top
-    Lascoux polynomial has that leading monomial with coefficient one.
-    Raises ValueError when no basis element matches, which signals that f
-    lies outside the span.
+    Runs `_eliminate`: each pivot x^m must be the rajcode of a snowy
+    composition alpha in the box for n, and top_lascoux(alpha) has leading
+    monomial x^m with coefficient one. Raises ValueError when no basis
+    element matches, which signals that f lies outside the span.
     """
-    if any(m.bexp for m in f.monomials()):
+    if f.beta_degree() > 0:
         raise ValueError("top-layer expansion expects a polynomial free of b")
-    coeffs: dict[Composition, int] = {}
-    remainder = f
-    while remainder:
-        mono, coeff = leading_monomial_taillex(remainder)
+
+    def basis(code: Composition) -> tuple[Composition, Polynomial]:
         try:
-            alpha = snowy_from_rajcode(mono.xexp)
+            alpha = snowy_from_rajcode(code)
         except ValueError:
-            raise ValueError(
-                f"leading monomial {mono.xexp} matches no snowy basis element"
-            ) from None
+            raise ValueError(f"leading monomial {code} matches no snowy basis element") from None
         if not in_cn(alpha, n):
             raise ValueError(f"basis element {alpha} falls outside the box for n={n}")
-        coeffs[alpha] = coeffs.get(alpha, 0) + coeff
-        remainder = remainder - coeff * top_lascoux(alpha)
-        if remainder:
-            new_lead = leading_monomial_taillex(remainder)[0]
-            assert taillex_key(new_lead.xexp) < taillex_key(mono.xexp)
-    return {a: c for a, c in coeffs.items() if c}
+        return alpha, top_lascoux(alpha)
 
-
-def _select_pivot(remainder: Polynomial) -> tuple[Monomial, int]:
-    """Pivot term: minimal x-degree, then minimal b-exponent, then tail-lex
-    maximal monomial."""
-    best = None
-    for mono, coeff in remainder.items():
-        key = (mono.x_degree(), mono.bexp)
-        if best is None or key < best[0] or (
-            key == best[0] and taillex_key(mono.xexp) > taillex_key(best[1].xexp)
-        ):
-            best = (key, mono, coeff)
-    assert best is not None
-    return best[1], best[2]
+    return {alpha: layer[0] for alpha, layer in _eliminate(f, basis, "top layer").items()}
 
 
 def expand_grothendieck_into_lascoux(
@@ -172,50 +151,71 @@ def expand_grothendieck_into_lascoux(
 ) -> dict[Composition, Polynomial]:
     """Coefficients g_alpha(b) with grothendieck(w) = sum g_alpha * lascoux(alpha).
 
-    Greedy elimination against the key-polynomial leading terms; running
-    past _EXPANSION_STEP_CAP steps raises ArithmeticError naming the step
-    count. The reconstruction is verified before returning and the
-    coefficients are checked to be polynomials in b with nonnegative integer
-    coefficients.
+    Runs `_eliminate`: a pivot b^d x^alpha is matched with lascoux(alpha),
+    whose lowest layer is the key polynomial with leading monomial x^alpha.
+    The reconstruction is verified before returning and the coefficients
+    are checked to be polynomials in b with nonnegative integer coefficients.
     """
     w = permutations.canonical(w)
     if n is None:
         n = max(len(w), 1)
     target = grothendieck(w)
-    coeffs: dict[Composition, dict[int, int]] = {}
-    remainder = target
-    steps = 0
-    while remainder:
-        if steps == _EXPANSION_STEP_CAP:
-            raise ArithmeticError(
-                f"greedy expansion of {w} did not finish within {steps} steps"
-            )
-        steps += 1
-        mono, coeff = _select_pivot(remainder)
-        alpha = mono.xexp
-        layer = coeffs.setdefault(alpha, {})
-        layer[mono.bexp] = layer.get(mono.bexp, 0) + coeff
-        remainder = remainder - coeff * Polynomial.term(1, (), mono.bexp) * lascoux(alpha)
-    out: dict[Composition, Polynomial] = {}
-    for alpha, layer in coeffs.items():
-        g = Polynomial({Monomial((), b): c for b, c in layer.items() if c})
-        if g:
-            out[alpha] = g
-    _verify_lascoux_expansion(w, target, out, n)
-    return out
-
-
-def _verify_lascoux_expansion(w, target, out, n):
+    out = {
+        alpha: Polynomial({Monomial((), d): c for d, c in layer.items()})
+        for alpha, layer in _eliminate(target, lambda a: (a, lascoux(a)), w).items()
+    }
     rebuilt = Polynomial.zero()
-    for alpha, g in out.items():
-        rebuilt = rebuilt + g * lascoux(alpha)
-    if rebuilt != target:
-        raise ArithmeticError(f"expansion of {w} failed to reconstruct")
     for alpha, g in out.items():
         if not in_cn(alpha, n):
             raise ArithmeticError(f"expansion of {w} leaves the box for n={n}: {alpha}")
         if any(c < 0 for _, c in g.items()):
             raise ArithmeticError(f"expansion of {w} has a negative coefficient at {alpha}")
+        rebuilt = rebuilt + g * lascoux(alpha)
+    if rebuilt != target:
+        raise ArithmeticError(f"expansion of {w} failed to reconstruct")
+    return out
+
+
+def _select_pivot(remainder: Polynomial) -> tuple[int, Monomial, int]:
+    """Pivot term: the tail-lex leading term of the lowest b-layer, as
+    (b-exponent, monomial of that layer, coefficient)."""
+    d, layer = bottom_component(remainder)
+    mono, coeff = leading_monomial_taillex(layer)
+    return d, mono, coeff
+
+
+def _eliminate(target: Polynomial, basis, name) -> dict[Composition, dict[int, int]]:
+    """Greedy triangular elimination, shared by both expansions; returns
+    {alpha: {d: c}}.
+
+    Each step takes the pivot c * b^d * x^m of the remainder, asks basis(m)
+    for the index alpha and an element whose pivot is x^m with coefficient
+    one, and subtracts c * b^d * element. A pivot must lie in a higher
+    b-layer than the one before, or in the same layer and be tail-lex
+    smaller; otherwise, or past _EXPANSION_STEP_CAP steps, ArithmeticError
+    names the step."""
+    coeffs: dict[Composition, dict[int, int]] = {}
+    remainder = target
+    last = None
+    steps = 0
+    while remainder:
+        if steps == _EXPANSION_STEP_CAP:
+            raise ArithmeticError(
+                f"greedy expansion of {name} did not finish within {steps} steps"
+            )
+        steps += 1
+        d, mono, coeff = _select_pivot(remainder)
+        order = (-d, taillex_key(mono.xexp))
+        if last is not None and order >= last:
+            raise ArithmeticError(
+                f"greedy expansion of {name} stalled at step {steps}: pivot "
+                f"b^{d} x^{mono.xexp} does not follow the previous pivot"
+            )
+        last = order
+        alpha, element = basis(mono.xexp)
+        coeffs.setdefault(alpha, {})[d] = coeff
+        remainder = remainder - Polynomial.term(coeff, (), d) * element
+    return coeffs
 
 
 # -- bases of the top span ------------------------------------------------------
@@ -232,7 +232,7 @@ def vhat_basis(n: int) -> tuple[list[Permutation], list[Composition]]:
         for w in all_permutations(n)
         if is_inverse_fireworks(w)
     ]
-    snowy = [alpha for alpha in enumerate_cn(n) if is_snowy(alpha)]
+    snowy = enumerate_snowy_cn(n)
     if len(fireworks) != len(snowy):
         raise ArithmeticError("basis index sets disagree in size")
     fire_codes = {permutations.rajcode(w, n) for w in fireworks}

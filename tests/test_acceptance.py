@@ -88,30 +88,30 @@ def test_criterion_03_rajcode_equivalence():
 
 
 def test_criterion_04_top_grothendieck_statements():
-    with Budget(4, 30.0, "leading monomials and classes of top layers over S_5"):
+    with Budget(4, 30.0, "leading monomials and classes of top layers over S_6"):
         assert_suite(
             "psw",
-            5,
+            6,
             {
-                "leading monomial is x^rajcode": "120 permutations checked",
-                "proportional iff equal rajcode": "7140 pairs checked",
-                "inverse fireworks leading coefficient 1": "52 inverse fireworks permutations",
-                "one inverse fireworks element per class": "52 rajcode classes",
+                "leading monomial is x^rajcode": "720 permutations checked",
+                "proportional iff equal rajcode": "258840 pairs checked",
+                "inverse fireworks leading coefficient 1": "203 inverse fireworks permutations",
+                "one inverse fireworks element per class": "203 rajcode classes",
             },
         )
 
 
 def test_criterion_05_top_lascoux_statements():
-    with Budget(5, 30.0, "leading monomials and classes of top layers over the box"):
+    with Budget(5, 30.0, "leading monomials and classes of top layers over the box for 6"):
         assert_suite(
             "top-las",
-            5,
+            6,
             {
-                "leading monomial is x^rajcode": "120 compositions checked",
-                "proportional iff equal rajcode": "7140 pairs checked",
-                "snowy leading coefficient 1": "52 snowy compositions",
-                "one snowy element per class": "52 rajcode classes",
-                "snowy top recursion agrees": "52 snowy compositions",
+                "leading monomial is x^rajcode": "720 compositions checked",
+                "proportional iff equal rajcode": "258840 pairs checked",
+                "snowy leading coefficient 1": "203 snowy compositions",
+                "one snowy element per class": "203 rajcode classes",
+                "snowy top recursion agrees": "203 snowy compositions",
             },
         )
 

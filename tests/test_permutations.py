@@ -17,6 +17,7 @@ from snowpoly.permutations import (
     is_fireworks,
     is_inverse_fireworks,
     lis_from,
+    lis_lengths,
     parse_one_line,
     raj,
     rajcode,
@@ -73,8 +74,9 @@ def test_lis_from_examples():
 
 def test_lis_from_against_brute_force():
     for w in all_permutations(6):
-        for q in w:
-            assert lis_from(w, q) == brute_lis_from(w, q)
+        brute = [brute_lis_from(w, q) for q in w]
+        assert lis_lengths(w) == brute
+        assert [lis_from(w, q) for q in w] == brute
 
 
 def test_rajcode_examples():

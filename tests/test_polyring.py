@@ -11,6 +11,7 @@ from snowpoly.polyring import (
     Monomial,
     Polynomial,
     beta_component,
+    bottom_component,
     check_divided_difference,
     demazure,
     divided_difference,
@@ -284,6 +285,18 @@ def test_top_component_examples():
     assert top_component(mono) == (0, mono)
     with pytest.raises(ValueError):
         top_component(Polynomial.zero())
+
+
+def test_bottom_component_examples():
+    groth_1324 = X1 + X2 + poly_of((1, (1, 1), 1))
+    assert bottom_component(groth_1324) == (0, X1 + X2)
+    mixed = poly_of((2, (1,), 1), (-1, (0, 3), 1), (4, (1, 1), 2), (1, (), 3))
+    assert bottom_component(mixed) == (1, poly_of((2, (1,), 0), (-1, (0, 3), 0)))
+    assert bottom_component(B * B) == (2, ONE)
+    mono = poly_of((1, (3, 2, 1), 0))
+    assert bottom_component(mono) == top_component(mono) == (0, mono)
+    with pytest.raises(ValueError):
+        bottom_component(Polynomial.zero())
 
 
 def test_top_component_of_lascoux_021():

@@ -1,7 +1,11 @@
 """Recursions, top layers, and basis expansions."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -13,7 +17,6 @@ from snowpoly.polyring import (
     demazure,
     divided_difference,
     leading_monomial_taillex,
-    taillex_key,
 )
 from snowpoly.schubert import (
     _grothendieck,
@@ -173,6 +176,53 @@ def test_is_scalar_multiple_edge_cases():
     assert not is_scalar_multiple(f, g)
 
 
+def pairs_agree(xs, ys):
+    """Oracle for verify.same_partition: decide every pair of items."""
+    return all(
+        (xu == xv) == (yu == yv) for (xu, yu), (xv, yv) in combinations(zip(xs, ys), 2)
+    )
+
+
+def _ray_and_code_labels(n):
+    """The labels of the psw and top-las proportionality checks at scale n."""
+    perms = list(all_permutations(n))
+    comps = enumerate_cn(n)
+    return [
+        ([top_grothendieck(w).ray() for w in perms], [permutations.rajcode(w, n) for w in perms]),
+        ([top_lascoux(a).ray() for a in comps], [compositions.rajcode(a) for a in comps]),
+    ]
+
+
+def test_partition_test_matches_pair_loop():
+    from snowpoly.verify import same_partition
+
+    for n in range(1, 6):
+        for rays, codes in _ray_and_code_labels(n):
+            assert same_partition(rays, codes) and pairs_agree(rays, codes)
+
+
+def test_partition_test_and_pair_loop_reject_merged_labels():
+    from snowpoly.verify import same_partition
+
+    for rays, codes in _ray_and_code_labels(4):
+        # two items in different classes: give the second the first one's ray
+        u = 0
+        v = next(k for k, c in enumerate(codes) if c != codes[u])
+        merged_rays = list(rays)
+        merged_rays[v] = rays[u]
+        assert not same_partition(merged_rays, codes)
+        assert not pairs_agree(merged_rays, codes)
+        # ... or the first one's rajcode
+        merged_codes = list(codes)
+        merged_codes[v] = codes[u]
+        assert not same_partition(rays, merged_codes)
+        assert not pairs_agree(rays, merged_codes)
+        # merging both whole classes at once keeps the partitions equal
+        both_rays = [rays[u] if r == rays[v] else r for r in rays]
+        both_codes = [codes[u] if c == codes[v] else c for c in codes]
+        assert same_partition(both_rays, both_codes) and pairs_agree(both_rays, both_codes)
+
+
 # -- expansions ---------------------------------------------------------------------
 
 
@@ -225,68 +275,132 @@ def test_expand_grothendieck_over_s4():
             assert all(c > 0 for _, c in g.items())
 
 
-def expand_by_linear_solve(target, n):
-    """Oracle for the greedy Lascoux expansion: exact rational solve of target
-    against the spanning set b^j * lascoux(alpha), alpha in the box for n."""
-    bmax = target.beta_degree()
-    columns = []
-    for alpha in enumerate_cn(n):
-        base = lascoux(alpha)
-        for j in range(bmax + 1):
-            columns.append((alpha, j, Polynomial.term(1, (), j) * base))
-    monos = sorted(
-        {m for _, _, p in columns for m in p.monomials()} | set(target.monomials()),
-        key=lambda m: (taillex_key(m.xexp), m.bexp),
-    )
-    index = {m: k for k, m in enumerate(monos)}
-    rows = len(monos)
-    matrix = [[Fraction(0)] * (len(columns) + 1) for _ in range(rows)]
-    for col, (_, _, p) in enumerate(columns):
-        for m, c in p.items():
-            matrix[index[m]][col] = Fraction(c)
-    for m, c in target.items():
-        matrix[index[m]][-1] = Fraction(c)
+def expand_by_linear_solve(targets, n):
+    """Oracle for the greedy Lascoux expansion: an exact rational solve of
+    each target against the spanning set b^j * lascoux(alpha), alpha in the
+    box for n. Sparse Gauss-Jordan elimination over the rows (one per
+    monomial), with every target as one more column on the right."""
+    bmax = max(t.beta_degree() for t in targets)
+    columns = [(alpha, j) for alpha in enumerate_cn(n) for j in range(bmax + 1)]
+    by_mono = {}
+    for col, (alpha, j) in enumerate(columns):
+        for m, c in lascoux(alpha).items():
+            by_mono.setdefault((m.xexp, m.bexp + j), {})[col] = Fraction(c)
+    width = len(columns)
+    for k, target in enumerate(targets):
+        for m, c in target.items():
+            by_mono.setdefault((m.xexp, m.bexp), {})[width + k] = Fraction(c)
+    rows = list(by_mono.values())
+    free = list(range(len(rows)))
     pivots = []
-    row_at = 0
-    for col in range(len(columns)):
-        pivot_row = next((r for r in range(row_at, rows) if matrix[r][col] != 0), None)
-        if pivot_row is None:
+    for col in range(width):
+        at = next((r for r in free if col in rows[r]), None)
+        if at is None:
             continue
-        matrix[row_at], matrix[pivot_row] = matrix[pivot_row], matrix[row_at]
-        inv_p = 1 / matrix[row_at][col]
-        matrix[row_at] = [v * inv_p for v in matrix[row_at]]
-        for r in range(rows):
-            if r != row_at and matrix[r][col] != 0:
-                factor = matrix[r][col]
-                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[row_at])]
-        pivots.append((row_at, col))
-        row_at += 1
-    assert all(matrix[r][-1] == 0 for r in range(row_at, rows)), "outside the span"
-    coeffs = {}
-    for r, col in pivots:
-        value = matrix[r][-1]
-        if value:
-            assert value.denominator == 1, "coefficient is not an integer"
-            alpha, j, _ = columns[col]
-            coeffs.setdefault(alpha, {})[j] = int(value)
-    return coeffs
+        free.remove(at)
+        inv_p = 1 / rows[at][col]
+        prow = rows[at] = {k: v * inv_p for k, v in rows[at].items()}
+        for r, row in enumerate(rows):
+            if r != at and col in row:
+                factor = row[col]
+                for k, v in prow.items():
+                    value = row.get(k, 0) - factor * v
+                    if value:
+                        row[k] = value
+                    else:
+                        row.pop(k, None)
+        pivots.append((at, col))
+    solutions = []
+    for k in range(len(targets)):
+        assert all(width + k not in rows[r] for r in free), "outside the span"
+        coeffs = {}
+        for r, col in pivots:
+            value = rows[r].get(width + k, 0)
+            if value:
+                assert value.denominator == 1, "coefficient is not an integer"
+                alpha, j = columns[col]
+                coeffs.setdefault(alpha, {})[j] = int(value)
+        solutions.append(coeffs)
+    return solutions
 
 
 def test_linear_solve_fallback_agrees_with_greedy():
-    for w in [(2, 1, 4, 3), (1, 4, 3, 2), (2, 4, 1, 3)]:
-        greedy = expand_grothendieck_into_lascoux(w, 4)
-        solved = expand_by_linear_solve(grothendieck(w), 4)
-        solved_polys = {
-            alpha: Polynomial.from_terms((c, (), b) for b, c in layer.items())
-            for alpha, layer in solved.items()
-        }
-        assert solved_polys == greedy
+    for n in (4, 5):
+        perms = list(all_permutations(n))
+        solved = expand_by_linear_solve([grothendieck(w) for w in perms], n)
+        for w, coeffs in zip(perms, solved):
+            solved_polys = {
+                alpha: Polynomial.from_terms((c, (), b) for b, c in layer.items())
+                for alpha, layer in coeffs.items()
+            }
+            assert solved_polys == expand_grothendieck_into_lascoux(w, n), w
 
 
 def test_expansion_step_cap_raises(monkeypatch):
     monkeypatch.setattr(schubert, "_EXPANSION_STEP_CAP", 1)
     with pytest.raises(ArithmeticError, match="within 1 steps"):
         expand_grothendieck_into_lascoux((2, 1, 4, 3), 4)
+
+
+def _double(fn):
+    return lambda alpha: 2 * fn(alpha)
+
+
+def test_stalled_elimination_raises(monkeypatch):
+    # a basis element whose pivot coefficient is 2 leaves the pivot in place
+    monkeypatch.setattr(schubert, "lascoux", _double(schubert.lascoux))
+    monkeypatch.setattr(schubert, "top_lascoux", _double(schubert.top_lascoux))
+    with pytest.raises(ArithmeticError, match="stalled at step 2"):
+        expand_grothendieck_into_lascoux((2, 1, 4, 3), 4)
+    with pytest.raises(ArithmeticError, match="stalled at step 2"):
+        expand_top_into_snowy_basis(top_grothendieck((1, 4, 3, 2)), 4)
+
+
+STALL_SCRIPT = """
+from snowpoly import schubert
+schubert.lascoux = lambda alpha, f=schubert.lascoux: 2 * f(alpha)
+schubert.top_lascoux = lambda alpha, f=schubert.top_lascoux: 2 * f(alpha)
+for expand in (
+    lambda: schubert.expand_grothendieck_into_lascoux((2, 1, 4, 3), 4),
+    lambda: schubert.expand_top_into_snowy_basis(schubert.top_grothendieck((1, 4, 3, 2)), 4),
+):
+    try:
+        expand()
+    except ArithmeticError as err:
+        print(err)
+"""
+
+
+def test_stalled_elimination_raises_under_optimize():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", STALL_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2
+    assert all("stalled at step 2" in line for line in lines)
+
+
+def test_grothendieck_pivots_have_x_degree_length_plus_b(monkeypatch):
+    # so the lowest b-layer is also the least x-degree, as for the key-term order
+    pivots = []
+    select = schubert._select_pivot
+
+    def record(remainder):
+        pivots.append(select(remainder))
+        return pivots[-1]
+
+    monkeypatch.setattr(schubert, "_select_pivot", record)
+    for w in all_permutations(5):
+        pivots.clear()
+        expand_grothendieck_into_lascoux(w, 5)
+        assert {sum(m.xexp) - d for d, m, _ in pivots} == {permutations.inv(w)}
 
 
 # -- bases ---------------------------------------------------------------------------
