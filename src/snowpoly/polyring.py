@@ -77,10 +77,6 @@ class Monomial(NamedTuple):
     def make(cls, xexp: Iterable[int] = (), bexp: int = 0) -> "Monomial":
         return _view(_key(xexp, bexp))
 
-    def x_exponent(self, i: int) -> int:
-        """Exponent of x_i (1-indexed)."""
-        return self.xexp[i - 1] if 0 < i <= len(self.xexp) else 0
-
     def x_degree(self) -> int:
         return sum(self.xexp)
 

@@ -11,7 +11,7 @@ from functools import lru_cache
 from math import comb
 from typing import Callable, Iterable
 
-from .diagrams import RookDiagram, rook_placements, stair
+from .diagrams import RookDiagram, rook_placements
 
 QPolynomial = tuple[int, ...]
 
@@ -104,15 +104,14 @@ def enumerate_rook_n(n: int) -> list[RookDiagram]:
 
 def gr_stat(rook: RookDiagram, n: int) -> int:
     """Unmarked staircase cells after each rook marks its column upward and
-    its row leftward."""
-    board = stair(n).cells
-    if not rook.cells <= board:
+    its row leftward. The marks of a rook inside the staircase never leave
+    it, so this is n(n-1)/2 - nw_stat(rook); the set-marking count is an
+    oracle in tests/test_qbell.py."""
+    if n < 1:
+        raise ValueError("staircase size must be positive")
+    if any(c > n - r for r, c in rook.cells):
         raise ValueError(f"rook diagram is not contained in the staircase of size {n}")
-    marked: set[tuple[int, int]] = set()
-    for r, c in rook.cells:
-        marked.update((rp, c) for rp in range(1, r + 1))
-        marked.update((r, cp) for cp in range(1, c + 1))
-    return len(board - marked)
+    return n * (n - 1) // 2 - nw_stat(rook)
 
 
 def nw_stat(rook: RookDiagram) -> int:
@@ -158,12 +157,6 @@ def _rook_transfer(
     return qp_trim(total)
 
 
-def _nw_weight(r: int, c: int, used: int) -> int:
-    # rows top-down: the column segment of (r, c) meets the row segments of
-    # the earlier rooks in columns right of c
-    return r + c - 1 - (used >> (c + 1)).bit_count() if c else 0
-
-
 def _raj_weight(r: int, c: int, used: int) -> int:
     # rows bottom-up: alpha_r = c (0 for an empty row) plus the later rows
     # with a strictly larger entry
@@ -172,26 +165,17 @@ def _raj_weight(r: int, c: int, used: int) -> int:
 
 @lru_cache(maxsize=None)
 def hilb_vn(n: int) -> QPolynomial:
-    """Degree generating polynomial of the top span at level n.
+    """Degree generating polynomial of the top span at level n: raj over the
+    snowy box compositions, by a bottom-up transfer over rows that applies
+    the closed formula raj(alpha) = sum(alpha) + #{r < r' : alpha_r < alpha_r'}.
 
-    Computed three ways and checked to agree: raj over the snowy box
-    compositions, by a bottom-up transfer over rows that applies the closed
-    formula raj(alpha) = sum(alpha) + #{r < r' : alpha_r < alpha_r'}; the
-    northwest statistic over staircase rooks, by a top-down transfer over
-    rows; and the reversed q-Bell polynomial. Raises ArithmeticError when
-    they differ. The snow construction itself is checked against both
-    statistics, one placement at a time, in tests/test_qbell.py.
+    `verify.suite_qbell` compares it with the reversed q-Bell polynomial.
+    The northwest transfer and the snow construction, placement by
+    placement, are its oracles in tests/test_qbell.py.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    h1 = _rook_transfer(n, range(n - 1, 0, -1), _raj_weight)
-    h2 = _rook_transfer(n, range(1, n), _nw_weight)
-    h3 = qp_rev(q_bell(n))
-    if not (h1 == h2 == h3):
-        raise ArithmeticError(
-            f"Hilbert series routes disagree at n={n}: {h1} vs {h2} vs {h3}"
-        )
-    return h1
+    return _rook_transfer(n, range(n - 1, 0, -1), _raj_weight)
 
 
 def hilb_v_truncated(n_degrees: int) -> QPolynomial:
@@ -215,6 +199,8 @@ def hilb_v_stabilized(n_degrees: int) -> QPolynomial:
     polynomials coincide, with a hard cap of n_degrees + 2; failing to
     stabilize under the cap is an error, never silently accepted.
     """
+    if n_degrees < 0:
+        raise ValueError("degree bound must be nonnegative")
     cap = n_degrees + 2
 
     def truncated(n: int) -> QPolynomial:

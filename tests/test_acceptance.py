@@ -172,9 +172,9 @@ def test_criterion_12_positive_expansions():
     with Budget(12, 60.0, "positive expansions into the snowy and Lascoux bases"):
         assert_suite(
             "expansions",
-            5,
+            6,
             {
-                "top layers expand positively into the snowy basis": "120 permutations at n=5",
+                "top layers expand positively into the snowy basis": "720 permutations at n=6",
                 "Grothendieck expands into Lascoux over nonnegative b-polynomials": (
                     "24 permutations at n=4"
                 ),

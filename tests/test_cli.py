@@ -119,13 +119,13 @@ def test_verify_times_each_check_from_the_previous_one(monkeypatch):
     ticks = iter([10.0, 11.0, 13.0, 16.0])
     monkeypatch.setattr(verify.time, "perf_counter", lambda: next(ticks))
 
-    def suite(scale):
+    def suite(scale=1):
         results = []
         for name in ("a", "b", "c"):
             verify._check(results, name, True, "ok")
         return results
 
-    monkeypatch.setitem(verify.SUITES, "fake", (suite, 1))
+    monkeypatch.setitem(verify.SUITES, "fake", suite)
     results = verify.run_suite("fake")
     assert [(r.name, r.seconds) for r in results] == [("a", 1.0), ("b", 2.0), ("c", 3.0)]
     assert sum(r.seconds for r in results) == 16.0 - 10.0  # the suite's wall time

@@ -13,7 +13,7 @@ from snowpoly.compositions import (
     raj,
     rajcode_snowy_direct,
 )
-from snowpoly.diagrams import RookDiagram, rook_placements
+from snowpoly.diagrams import RookDiagram, rook_placements, stair
 from snowpoly.qbell import (
     bell,
     enumerate_rook_n,
@@ -29,6 +29,7 @@ from snowpoly.qbell import (
     qp_rev,
     stirling,
 )
+from snowpoly.verify import run_suite
 
 
 def test_q_stirling_and_q_bell_values():
@@ -86,23 +87,45 @@ def test_gr_and_nw_examples():
     assert nw_stat(RookDiagram()) == 0
     with pytest.raises(ValueError):
         gr_stat(RookDiagram({(1, 4)}), 3)
+    with pytest.raises(ValueError):
+        gr_stat(RookDiagram(), 0)
 
 
-def test_nw_equals_raj_of_snowy_inverse():
-    for n in range(1, 7):
-        for rook in enumerate_rook_n(n):
-            assert nw_stat(rook) == raj(dark_inverse(rook))
+def gr_by_marking(cells, n):
+    """Oracle for gr_stat: the staircase cells left after each rook marks
+    its column upward and its row leftward."""
+    marked = set()
+    for r, c in cells:
+        marked.update((rp, c) for rp in range(1, r + 1))
+        marked.update((r, cp) for cp in range(1, c + 1))
+    return len(stair(n).cells - marked)
 
 
 def test_snow_raj_matches_closed_formula_and_nw_per_placement():
-    # oracle for both transfers in hilb_vn: the snow construction agrees with
-    # the closed formula and with the northwest statistic on every placement
+    # oracle for the transfers: the snow construction agrees with the closed
+    # formula and with the northwest statistic on every placement, and gr_stat
+    # agrees with the set-marking count
     for n in range(1, 9):
         for placement in rook_placements(n):
             alpha = dark_inverse(placement)
             snow_raj = raj(alpha)
             assert snow_raj == sum(rajcode_snowy_direct(alpha))
-            assert snow_raj == nw_stat(RookDiagram(placement))
+            rook = RookDiagram(placement)
+            assert snow_raj == nw_stat(rook)
+            assert gr_stat(rook, n) == gr_by_marking(placement, n)
+
+
+def nw_weight(r, c, used):
+    # rows top-down: the column segment of (r, c) meets the row segments of
+    # the earlier rooks in columns right of c
+    return r + c - 1 - (used >> (c + 1)).bit_count() if c else 0
+
+
+def test_northwest_transfer_is_reversed_q_bell():
+    # oracle route for hilb_vn: the northwest statistic summed over the
+    # staircase rows top-down, without listing the placements
+    for n in range(1, 13):
+        assert qbell._rook_transfer(n, range(1, n), nw_weight) == qp_rev(q_bell(n))
 
 
 def test_hilb_vn_values():
@@ -113,11 +136,21 @@ def test_hilb_vn_values():
         assert hilb_vn(n) == qp_rev(q_bell(n))
 
 
-def test_hilb_vn_raises_when_routes_disagree(monkeypatch):
-    monkeypatch.setattr(qbell, "q_bell", lambda n: (1,) * (n + 1))
+def test_qbell_suite_names_first_level_where_hilbert_series_differs(monkeypatch):
+    # a raj weight that is one short for a rook in row 3, column 1, which
+    # exists from n = 4 on
+    raj_weight = qbell._raj_weight
+    monkeypatch.setattr(
+        qbell, "_raj_weight", lambda r, c, used: raj_weight(r, c, used) - ((r, c) == (3, 1))
+    )
     hilb_vn.cache_clear()
-    with pytest.raises(ArithmeticError, match="disagree at n=4"):
-        hilb_vn(4)
+    try:
+        results = {r.name: r for r in run_suite("qbell", 5)}
+    finally:
+        hilb_vn.cache_clear()
+    check = results["Hilbert series routes agree"]
+    assert not check.passed
+    assert check.detail.endswith("at n=4")
 
 
 def test_hilb_v_truncated_values():
@@ -143,6 +176,8 @@ def test_hilb_truncation_against_snowy_enumeration_oracle():
 def test_hilb_stabilization():
     for degrees in (3, 5, 8):
         assert hilb_v_stabilized(degrees) == hilb_v_truncated(degrees)
+    with pytest.raises(ValueError):
+        hilb_v_stabilized(-1)
 
 
 def test_prepend_largest_entry_shifts_raj():

@@ -336,6 +336,13 @@ def test_linear_solve_fallback_agrees_with_greedy():
             assert solved_polys == expand_grothendieck_into_lascoux(w, n), w
 
 
+def test_expand_grothendieck_rejects_a_box_too_small():
+    with pytest.raises(ValueError, match="box for n=2"):
+        expand_grothendieck_into_lascoux((1, 2, 4, 3), 2)
+    with pytest.raises(ValueError):
+        expand_grothendieck_into_lascoux((), 0)
+
+
 def test_expansion_step_cap_raises(monkeypatch):
     monkeypatch.setattr(schubert, "_EXPANSION_STEP_CAP", 1)
     with pytest.raises(ArithmeticError, match="within 1 steps"):
