@@ -1,13 +1,20 @@
 """Exact sparse polynomials in x1, x2, ... with the degree marker b.
 
 Coefficients are arbitrary-precision Python integers. Inside `Polynomial`
-each term is stored under a flat tuple key `(bexp, e1, ..., ek)`: the
-b-exponent first, then the x-exponents, with trailing x-zeros trimmed, so
-two monomials are equal exactly when their keys are. Because b is one more
-exponent, the product of two monomials is the element-wise sum of their
-keys plus the tail of the longer one, and a sum of trimmed keys is trimmed.
-The marker b records the inhomogeneous grading of Grothendieck and Lascoux
-polynomials.
+each term is stored under one packed integer key: the b-exponent sits in
+bits [0, 8) and the exponent of x_i in bits [8i, 8i + 8), so higher indices
+sit in higher bits and two monomials are equal exactly when their keys are.
+The product of two monomials is the sum of their keys, and on keys free of
+b integer order is tail-lex order. The marker b records the inhomogeneous
+grading of Grothendieck and Lascoux polynomials.
+
+No carry may ever cross a field. Every stored exponent is at most 127, so
+the top bit of each 8-bit field is a guard: naming a monomial with an
+exponent of 128 or more raises ValueError, and a product or a Demazure step
+whose result would reach 128 in any field raises OverflowError. Two guarded
+fields sum to less than 256, so a carry never reaches the next field before
+the guard sees it. 127 is above every exponent the recursions reach up to
+S_16: x-exponents stay below n, and the b-degree is at most C(n, 2) = 120.
 
 Keys never leave this module: `items`, `monomials`, `coefficient`,
 `Polynomial(mapping)` and `from_terms` speak in `Monomial(xexp, bexp)`, a
@@ -18,8 +25,13 @@ pure function.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator, NamedTuple
+
+_WIDTH = 8  # bits per exponent field
+_MASK = (1 << _WIDTH) - 1
+_LIMIT = 1 << (_WIDTH - 1)  # every stored exponent is below this; the field's top bit is the guard
 
 
 def taillex_key(xexp: tuple[int, ...]):
@@ -32,39 +44,36 @@ def taillex_key(xexp: tuple[int, ...]):
     return (len(xexp), tuple(reversed(xexp)))
 
 
-def _key(xexp: Iterable[int] = (), bexp: int = 0) -> tuple[int, ...]:
-    """The flat key (bexp, e1, ..., ek) with trailing x-zeros trimmed."""
-    key = (bexp, *xexp)
-    if min(key) < 0:
-        raise ValueError("exponents must be nonnegative")
-    return _trim(key)
+def _key(xexp: Iterable[int] = (), bexp: int = 0) -> int:
+    """The packed key of x^xexp * b^bexp; raises ValueError for an exponent
+    that is negative or does not fit below the guard bit."""
+    key = 0
+    for e in reversed((bexp, *xexp)):
+        if not 0 <= e < _LIMIT:
+            if e < 0:
+                raise ValueError("exponents must be nonnegative")
+            raise ValueError(f"exponent {e} exceeds the largest supported exponent {_LIMIT - 1}")
+        key = (key << _WIDTH) | e
+    return key
 
 
-def _trim(key: tuple[int, ...]) -> tuple[int, ...]:
-    """Drop trailing x-zeros; the b-exponent at index 0 always stays."""
-    n = len(key)
-    while n > 1 and key[n - 1] == 0:
-        n -= 1
-    return key[:n]
+def _guarded(terms: dict, op: str) -> dict:
+    """Return terms, or raise OverflowError if any key has a guard bit set,
+    that is, an exponent of 128 or more from a sum of two stored fields."""
+    seen = reduce(or_, terms, 0)
+    fields = seen.bit_length() // _WIDTH + 1
+    guards = (((1 << (_WIDTH * fields)) - 1) // _MASK) << (_WIDTH - 1)
+    if seen & guards:
+        raise OverflowError(f"{op} reaches an exponent above {_LIMIT - 1}")
+    return terms
 
 
-def _raise(key: tuple[int, ...], i: int) -> tuple[int, ...]:
-    """The key times x_i."""
-    if len(key) > i:
-        return key[:i] + (key[i] + 1,) + key[i + 1 :]
-    return key + (0,) * (i - len(key)) + (1,)
-
-
-def _swap(key: tuple[int, ...], i: int) -> tuple[int, ...]:
+def _swap(key: int, i: int) -> int:
     """The key with the exponents of x_i and x_{i+1} exchanged."""
-    n = len(key)
-    if n <= i:
-        return key
-    if n > i + 2:
-        return key[:i] + (key[i + 1], key[i]) + key[i + 2 :]
-    a = key[i]
-    b = key[i + 1] if n == i + 2 else 0
-    return key[:i] + ((b, a) if a else (b,))
+    shift = _WIDTH * i
+    a = (key >> shift) & _MASK
+    b = (key >> (shift + _WIDTH)) & _MASK
+    return key + (b - a) * ((1 << shift) - (1 << (shift + _WIDTH)))
 
 
 class Monomial(NamedTuple):
@@ -81,26 +90,32 @@ class Monomial(NamedTuple):
         return sum(self.xexp)
 
 
-def _view(key: tuple[int, ...]) -> Monomial:
+def _view(key: int) -> Monomial:
     """The public Monomial for a key."""
-    return tuple.__new__(Monomial, (key[1:], key[0]))
+    bexp = key & _MASK
+    xexp = []
+    key >>= _WIDTH
+    while key:
+        xexp.append(key & _MASK)
+        key >>= _WIDTH
+    return tuple.__new__(Monomial, (tuple(xexp), bexp))
 
 
 def _of(terms: dict) -> "Polynomial":
-    """Wrap a term dict without copying it; its keys must be trimmed and its
-    coefficients nonzero."""
+    """Wrap a term dict without copying it; its keys must be valid packed
+    keys and its coefficients nonzero."""
     out = object.__new__(Polynomial)
     out._terms = terms
     return out
 
 
 class Polynomial:
-    """Immutable sparse polynomial: a map from flat monomial key to nonzero int."""
+    """Immutable sparse polynomial: a map from packed monomial key to nonzero int."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        clean: dict[tuple[int, ...], int] = {}
+        clean: dict[int, int] = {}
         if terms:
             for mono, coeff in terms.items() if hasattr(terms, "items") else terms:
                 key = _key(*mono)
@@ -120,21 +135,21 @@ class Polynomial:
 
     @classmethod
     def one(cls) -> "Polynomial":
-        return _of({(0,): 1})
+        return _of({0: 1})
 
     @classmethod
     def integer(cls, c: int) -> "Polynomial":
-        return _of({(0,): c} if c else {})
+        return _of({0: c} if c else {})
 
     @classmethod
     def x(cls, i: int) -> "Polynomial":
         if i < 1:
             raise ValueError("variable index must be positive")
-        return _of({(0,) * i + (1,): 1})
+        return _of({1 << (_WIDTH * i): 1})
 
     @classmethod
     def beta(cls) -> "Polynomial":
-        return _of({(1,): 1})
+        return _of({1: 1})
 
     @classmethod
     def term(cls, coeff: int, xexp: Iterable[int] = (), bexp: int = 0) -> "Polynomial":
@@ -166,7 +181,7 @@ class Polynomial:
 
     def beta_degree(self) -> int:
         """Largest b-exponent present; -1 for the zero polynomial."""
-        return max((k[0] for k in self._terms), default=-1)
+        return max((k & _MASK for k in self._terms), default=-1)
 
     def ray(self) -> frozenset:
         """Normal form under scaling by a nonzero rational: each term's
@@ -232,20 +247,18 @@ class Polynomial:
             return self.scale(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        terms: dict[tuple[int, ...], int] = {}
+        terms: dict[int, int] = {}
         get = terms.get
         right = other._terms.items()
         for ka, ca in self._terms.items():
-            la = len(ka)
             for kb, cb in right:
-                lb = len(kb)
-                key = tuple(map(add, ka, kb)) + (ka[lb:] if la > lb else kb[la:])
+                key = ka + kb
                 c = get(key, 0) + ca * cb
                 if c:
                     terms[key] = c
                 else:
                     del terms[key]
-        return _of(terms)
+        return _of(_guarded(terms, "product"))
 
     __rmul__ = __mul__
 
@@ -267,34 +280,32 @@ def divided_difference(f: Polynomial, i: int) -> Polynomial:
 
     Computed termwise by the telescoping rule: a monomial with x_i-exponent a
     and x_{i+1}-exponent b > a contributes -sum_{j=a}^{b-1} x_i^j x_{i+1}^(a+b-1-j)
-    times the rest, and symmetrically with sign +1 when a > b. No rational
+    times the rest, and symmetrically with sign +1 when a > b. Every exponent
+    written stays below max(a, b), so no field can overflow. No rational
     arithmetic is ever needed; every result is checked against the defining
     quotient by `check_divided_difference`.
     """
     if i < 1:
         raise ValueError("index must be positive")
-    terms: dict[tuple[int, ...], int] = {}
+    shift = _WIDTH * i
+    step = (1 << shift) - (1 << (shift + _WIDTH))  # x_i up by one, x_{i+1} down by one
+    terms: dict[int, int] = {}
     get = terms.get
     for key, coeff in f._terms.items():
-        n = len(key)
-        if n <= i:
-            continue
-        a = key[i]
-        b = key[i + 1] if n > i + 1 else 0
+        a = (key >> shift) & _MASK
+        b = (key >> (shift + _WIDTH)) & _MASK
         if a == b:
             continue
         lo, hi, signed = (b, a, coeff) if a > b else (a, b, -coeff)
-        s = a + b - 1
-        exps = list(key) if n > i + 1 else [*key, 0]
-        for j in range(lo, hi):
-            exps[i] = j
-            exps[i + 1] = s - j
-            new = tuple(exps) if exps[-1] else _trim(tuple(exps))
+        # the first term x_i^lo x_{i+1}^(a+b-1-lo); each next one adds step
+        new = key + ((lo - a) << shift) + ((a - 1 - lo) << (shift + _WIDTH))
+        for _ in range(lo, hi):
             c = get(new, 0) + signed
             if c:
                 terms[new] = c
             else:
                 del terms[new]
+            new += step
     out = _of(terms)
     check_divided_difference(f, i, out)
     return out
@@ -306,27 +317,26 @@ def check_divided_difference(f: Polynomial, i: int, quotient: Polynomial) -> Non
     Checked term by term on the keys: each quotient term is raised at x_i and
     at x_{i+1} with opposite signs, f is subtracted and s_i f added back, and
     every resulting coefficient must be zero. A term of f that s_i fixes
-    cancels against its own swap and is skipped.
+    cancels against its own swap and is skipped. A raised field stays below
+    256, so no carry crosses fields.
     """
-    diff: dict[tuple[int, ...], int] = {}
+    shift = _WIDTH * i
+    up_i = 1 << shift
+    up_next = up_i << _WIDTH
+    step = up_i - up_next
+    terms = quotient._terms.items()
+    diff = {key + up_i: c for key, c in terms}  # distinct keys: nothing to add yet
     get = diff.get
-    for key, c in quotient._terms.items():
-        if len(key) > i + 1:
-            exps = list(key)
-            exps[i] += 1
-            up_i = tuple(exps)
-            exps[i] -= 1
-            exps[i + 1] += 1
-            up_next = tuple(exps)
-        else:
-            up_i, up_next = _raise(key, i), _raise(key, i + 1)
-        diff[up_i] = get(up_i, 0) + c
-        diff[up_next] = get(up_next, 0) - c
+    for key, c in terms:
+        k = key + up_next
+        diff[k] = get(k, 0) - c
     for key, c in f._terms.items():
-        swapped = _swap(key, i)
-        if swapped != key:
+        a = (key >> shift) & _MASK
+        b = (key >> (shift + _WIDTH)) & _MASK
+        if a != b:
             diff[key] = get(key, 0) - c
-            diff[swapped] = get(swapped, 0) + c
+            k = key + (b - a) * step
+            diff[k] = get(k, 0) + c
     if any(diff.values()):
         raise ArithmeticError(
             f"divided difference at {i}: (x_{i} - x_{i + 1}) * quotient != f - s_{i} f"
@@ -337,14 +347,16 @@ def demazure(f: Polynomial, i: int) -> Polynomial:
     """The operator f -> divided_difference(x_i * f, i); idempotent."""
     if i < 1:
         raise ValueError("index must be positive")
-    return divided_difference(_of({_raise(k, i): c for k, c in f._terms.items()}), i)
+    up = 1 << (_WIDTH * i)
+    raised = _guarded({k + up: c for k, c in f._terms.items()}, "Demazure step")
+    return divided_difference(_of(raised), i)
 
 
 def beta_component(f: Polynomial, d: int) -> Polynomial:
     """The x-polynomial coefficient of b^d in f; d must be nonnegative."""
     if d < 0:
         raise ValueError(f"b-layer must be nonnegative, got {d}")
-    return _of({(0,) + k[1:]: c for k, c in f._terms.items() if k[0] == d})
+    return _of({k - d: c for k, c in f._terms.items() if k & _MASK == d})
 
 
 def top_component(f: Polynomial) -> tuple[int, Polynomial]:
@@ -359,7 +371,7 @@ def bottom_component(f: Polynomial) -> tuple[int, Polynomial]:
     """The least d with a nonzero b^d layer, together with that layer."""
     if f.is_zero():
         raise ValueError("bottom component of the zero polynomial is undefined")
-    d = min(k[0] for k in f._terms)
+    d = min(k & _MASK for k in f._terms)
     return d, beta_component(f, d)
 
 
@@ -367,8 +379,8 @@ def leading_monomial_taillex(f: Polynomial) -> tuple[Monomial, int]:
     """Tail-lex maximal monomial of a pure x-polynomial, with its coefficient."""
     if f.is_zero():
         raise ValueError("leading monomial of the zero polynomial is undefined")
-    if any(k[0] for k in f._terms):
+    if any(k & _MASK for k in f._terms):
         raise ValueError("leading monomial requires a polynomial free of b")
-    # with b = 0 in every key, reversing the whole key reverses the x-exponents
-    key = max(f._terms, key=lambda k: (len(k), k[::-1]))
+    # higher indices sit in higher bits, so on b-free keys integer order is tail-lex
+    key = max(f._terms)
     return _view(key), f._terms[key]

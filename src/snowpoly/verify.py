@@ -6,7 +6,9 @@ These suites are the only implementation of the exhaustive checks: the
 `tests/test_acceptance.py` run them under their runtime budgets and assert
 that every check passed with the expected count. A check whose detail is
 an item count fails when that count is zero, so no suite passes on an
-empty set.
+empty set. A suite's default scale is its function's default argument:
+psw, top-las and expansions default to n = 7, all 5,040 permutations of
+S_7 or compositions of the box C_7.
 """
 
 from __future__ import annotations
@@ -151,7 +153,7 @@ def _top_layer_checks(results, items, top, rajcode, is_unit, noun, unit_noun):
     return tops, units
 
 
-def suite_psw(scale: int = 5) -> list[CheckResult]:
+def suite_psw(scale: int = 7) -> list[CheckResult]:
     """Leading-monomial, proportionality and representative statements for
     top Grothendieck polynomials over a full symmetric group."""
     results: list[CheckResult] = []
@@ -167,7 +169,7 @@ def suite_psw(scale: int = 5) -> list[CheckResult]:
     return results
 
 
-def suite_top_las(scale: int = 5) -> list[CheckResult]:
+def suite_top_las(scale: int = 7) -> list[CheckResult]:
     """The same statements for top Lascoux polynomials over the box, and the
     direct recursion for the snowy ones."""
     results: list[CheckResult] = []
@@ -298,7 +300,7 @@ def suite_qbell(scale: int = 7) -> list[CheckResult]:
     return results
 
 
-def suite_expansions(scale: int = 5) -> list[CheckResult]:
+def suite_expansions(scale: int = 7) -> list[CheckResult]:
     """Positive expansions: top layers into the snowy basis and full
     Grothendieck polynomials into Lascoux polynomials."""
     results: list[CheckResult] = []

@@ -144,6 +144,7 @@ def test_parse_errors_exit_2(capsys):
         ["verify", "all", "-1"],
         ["groth", "1324", "--beta", "-1"],
         ["lascoux", "0,2,1", "--beta", "-1"],
+        ["lascoux", "128"],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv

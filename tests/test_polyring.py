@@ -1,6 +1,9 @@
 """Polynomial ring, operators, and their algebraic identities."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import zip_longest
 
 import pytest
@@ -124,6 +127,78 @@ def test_product_matches_naive_reference(ftriples, gtriples):
     assert g * f == f * g
 
 
+# -- field limits ------------------------------------------------------------------
+
+
+def test_exponent_127_round_trips():
+    high = (0,) * 199 + (127,)
+    for p, mono, coeff in (
+        (Polynomial.x_monomial((127,)), Monomial((127,), 0), 1),
+        (Polynomial.term(1, (), 127), Monomial((), 127), 1),
+        (Polynomial.term(-2, high, 127), Monomial(high, 127), -2),
+    ):
+        assert list(p.items()) == [(mono, coeff)]
+        assert Polynomial(p.items()) == p
+        assert p.coefficient(mono.xexp, mono.bexp) == coeff
+    assert Polynomial.x_monomial((63,)) * Polynomial.x_monomial((64,)) == poly_of((1, (127,), 0))
+    assert B * Polynomial.term(1, (), 126) == Polynomial.term(1, (), 127)
+
+
+def test_exponent_128_is_rejected():
+    for build in (
+        lambda: Polynomial.x_monomial((128,)),
+        lambda: Monomial.make((0, 128)),
+        lambda: Polynomial.term(1, (), 128),
+        lambda: X1.coefficient((128,)),
+        lambda: Polynomial({Monomial((0,) * 150 + (128,), 0): 1}),
+    ):
+        with pytest.raises(ValueError, match="127"):
+            build()
+
+
+def _x200(e):
+    return Polynomial.x_monomial((0,) * 199 + (e,))
+
+
+OVERFLOWS = [
+    lambda: Polynomial.x_monomial((64,)) * Polynomial.x_monomial((64,)),
+    lambda: B * Polynomial.term(1, (), 127),
+    lambda: demazure(Polynomial.x_monomial((127,)), 1),
+    lambda: _x200(64) * _x200(64),
+]
+
+
+def test_overflow_raises_instead_of_carrying():
+    for op in OVERFLOWS:
+        with pytest.raises(OverflowError):
+            op()
+
+
+OVERFLOW_SCRIPT = """
+from tests.test_polyring import OVERFLOWS
+
+for op in OVERFLOWS:
+    try:
+        print("returned", list(op().items()))
+    except OverflowError:
+        print("OverflowError")
+"""
+
+
+def test_overflow_raises_under_optimize():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join([os.path.join(root, "src"), root, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OVERFLOW_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["OverflowError"] * len(OVERFLOWS)
+
+
 # -- variable swap ------------------------------------------------------------
 
 
@@ -137,6 +212,54 @@ def test_swap_is_involutive():
     p = poly_of((2, (1, 2), 0), (3, (0, 0, 4), 1), (-1, (), 2))
     for i in (1, 2, 3, 5):
         assert swap_action(swap_action(p, i), i) == p
+
+
+def _padded(mono: Monomial, i: int) -> list[int]:
+    """The x-exponents of mono, padded with zeros to at least i + 1 entries."""
+    return [e for e, _ in zip_longest(mono.xexp, range(i + 1), fillvalue=0)]
+
+
+def naive_swap(f, i):
+    """Oracle swap over Monomial views."""
+    out: dict[Monomial, int] = {}
+    for mono, c in f.items():
+        xexp = _padded(mono, i)
+        xexp[i - 1], xexp[i] = xexp[i], xexp[i - 1]
+        out[Monomial.make(xexp, mono.bexp)] = c
+    return Polynomial(out)
+
+
+def naive_divided_difference(f, i):
+    """Oracle divided difference over Monomial views: x_i^a x_{i+1}^b with
+    a > b goes to (x_i x_{i+1})^b * h_{a-b-1}(x_i, x_{i+1}) times the rest,
+    and to minus that with a and b exchanged when a < b."""
+    out = Polynomial.zero()
+    for mono, c in f.items():
+        xexp = _padded(mono, i)
+        a, b = xexp[i - 1], xexp[i]
+        if a == b:
+            continue
+        lo, hi = min(a, b), max(a, b)
+        xexp[i - 1] = xexp[i] = lo
+        rest = Polynomial.term(c if a > b else -c, xexp, mono.bexp)
+        h = Polynomial.from_terms(
+            (1, (0,) * (i - 1) + (j, hi - lo - 1 - j), 0) for j in range(hi - lo)
+        )
+        out = out + naive_product(rest, h)
+    return out
+
+
+def naive_demazure(f, i):
+    return naive_divided_difference(naive_product(Polynomial.x(i), f), i)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TRIPLES, st.integers(1, 6))
+def test_operators_match_naive_references(triples, i):
+    f = Polynomial.from_terms((c, tuple(x), b) for c, x, b in triples)
+    assert swap_action(f, i) == naive_swap(f, i)
+    assert divided_difference(f, i) == naive_divided_difference(f, i)
+    assert demazure(f, i) == naive_demazure(f, i)
 
 
 # -- divided difference ---------------------------------------------------------
@@ -314,6 +437,15 @@ def test_leading_monomial_examples():
     assert leading_monomial_taillex(p) == (Monomial((1, 2), 0), 1)
     q = poly_of((1, (1, 1, 1), 0))
     assert leading_monomial_taillex(q) == (Monomial((1, 1, 1), 0), 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TRIPLES)
+def test_leading_monomial_matches_taillex_sort(triples):
+    f = Polynomial.from_terms((c, tuple(x), 0) for c, x, _ in triples)
+    if f:
+        expected = max(f.items(), key=lambda mc: taillex_key(mc[0].xexp))
+        assert leading_monomial_taillex(f) == expected
 
 
 def test_leading_monomial_errors():
