@@ -82,13 +82,11 @@ def render_polynomial(p: Polynomial) -> str:
     """
     if p.is_zero():
         return "0"
-    layers = []
-    for d in range(p.beta_degree() + 1):
-        layer = [(m, c) for m, c in _sorted_terms(p) if m.bexp == d]
-        if layer:
-            layers.append((d, [_render_layer_term(c, m.xexp) for m, c in layer]))
+    layers: dict[int, list[str]] = {}
+    for m, c in _sorted_terms(p):
+        layers.setdefault(m.bexp, []).append(_render_layer_term(c, m.xexp))
     chunks = []
-    for d, terms in layers:
+    for d, terms in sorted(layers.items()):
         body = " + ".join(terms).replace("+ -", "- ")
         prefix = "" if d == 0 else ("b*" if d == 1 else f"b^{d}*")
         if len(terms) > 1 and (prefix or len(layers) > 1):
@@ -144,20 +142,8 @@ def _emit(args, text: str, doc: dict) -> None:
 # -- subcommands ---------------------------------------------------------------------
 
 
-def _cmd_groth(args) -> int:
-    w = parse_one_line(args.perm)
-    poly = schubert.grothendieck(w)
-    if args.top:
-        poly = top_component(poly)[1]
-    elif args.beta is not None:
-        poly = beta_component(poly, args.beta)
-    _emit(args, render_polynomial(poly), polynomial_doc(poly))
-    return 0
-
-
-def _cmd_lascoux(args) -> int:
-    alpha = parse_composition(args.comp)
-    poly = schubert.lascoux(alpha)
+def _cmd_polynomial(args) -> int:
+    poly = args.compute(args.parse(args.index))
     if args.top:
         poly = top_component(poly)[1]
     elif args.beta is not None:
@@ -272,8 +258,6 @@ def _cmd_hilb(args) -> int:
     if args.limit is not None:
         coeffs = qbell.hilb_v_truncated(args.limit)
     else:
-        if args.n is None:
-            raise ValueError("hilb needs a level n or --limit N")
         coeffs = qbell.hilb_vn(args.n)
     _emit(
         args,
@@ -317,17 +301,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("groth", help="Grothendieck polynomial of a permutation")
-    p.add_argument("perm")
-    p.add_argument("--top", action="store_true", help="top b-layer only")
-    p.add_argument("--beta", type=int, help="a single b-layer")
-    p.set_defaults(fn=_cmd_groth)
-
-    p = sub.add_parser("lascoux", help="Lascoux polynomial of a weak composition")
-    p.add_argument("comp")
-    p.add_argument("--top", action="store_true", help="top b-layer only")
-    p.add_argument("--beta", type=int, help="a single b-layer")
-    p.set_defaults(fn=_cmd_lascoux)
+    for name, help_text, metavar, parse, compute in [
+        ("groth", "Grothendieck polynomial of a permutation", "perm",
+         parse_one_line, schubert.grothendieck),
+        ("lascoux", "Lascoux polynomial of a weak composition", "comp",
+         parse_composition, schubert.lascoux),
+    ]:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("index", metavar=metavar)
+        layer = p.add_mutually_exclusive_group()
+        layer.add_argument("--top", action="store_true", help="top b-layer only")
+        layer.add_argument("--beta", type=int, help="a single b-layer")
+        p.set_defaults(fn=_cmd_polynomial, parse=parse, compute=compute)
 
     p = sub.add_parser("snow", help="snow diagram of a diagram")
     _add_diagram_inputs(p)
@@ -348,8 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_shadow)
 
     p = sub.add_parser("hilb", help="Hilbert series coefficients")
-    p.add_argument("n", nargs="?", type=int, help="level of the span")
-    p.add_argument("--limit", type=int, help="stable series up to this degree")
+    level = p.add_mutually_exclusive_group(required=True)
+    level.add_argument("n", nargs="?", type=int, help="level of the span")
+    level.add_argument("--limit", type=int, help="stable series up to this degree")
     p.set_defaults(fn=_cmd_hilb)
 
     p = sub.add_parser("verify", help="run a verification suite")

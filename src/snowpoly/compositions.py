@@ -49,17 +49,6 @@ def raj(alpha: Iterable[int]) -> int:
     return sum(rajcode(alpha))
 
 
-def rajcode_snowy_direct(alpha: Iterable[int]) -> Composition:
-    """Closed formula for snowy alpha: entry r is alpha_r plus the number
-    of later rows with a strictly larger entry."""
-    alpha = canonical(alpha)
-    if not is_snowy(alpha):
-        raise ValueError("closed formula requires a snowy weak composition")
-    return canonical(
-        a + sum(1 for b in alpha[r + 1 :] if a < b) for r, a in enumerate(alpha)
-    )
-
-
 def dark_inverse(rook) -> Composition:
     """The snowy weak composition whose dark clouds are the given rooks."""
     if not isinstance(rook, RookDiagram):
@@ -137,6 +126,13 @@ def snowy_from_rajcode(mu: Iterable[int]) -> Composition:
     a row equals the number of columns already darkened below it, plus, when
     the row itself holds a dark cloud in the k-th free column, the index k.
     Raises ValueError when mu is not the rajcode of any weak composition.
+
+    Every k >= 0 yields a row of the right weight: a dark cloud in the k-th
+    free column sits in column k plus the dark columns below it to its
+    left, and the rajcode entry of that row adds the dark columns below it
+    to its right; an empty row has only the dark columns below it. So the
+    result always has rajcode mu, and the k < 0 test alone rejects exactly
+    the non-rajcodes.
     """
     mu = canonical(mu)
     darks: list[tuple[int, int]] = []
@@ -155,7 +151,4 @@ def snowy_from_rajcode(mu: Iterable[int]) -> Composition:
             darks.append((r, col))
             taken.append(col)
             taken.sort()
-    alpha = dark_inverse(darks)
-    if rajcode(alpha) != mu:
-        raise ValueError(f"{mu} is not a rajcode")
-    return alpha
+    return dark_inverse(darks)

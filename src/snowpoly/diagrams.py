@@ -51,27 +51,15 @@ class Diagram:
 
 
 @dataclass(frozen=True)
-class RookDiagram:
+class RookDiagram(Diagram):
     """A diagram with at most one cell in each row and each column."""
 
-    cells: frozenset[Cell]
-
     def __init__(self, cells: Iterable[Cell] = ()):
-        cells = _check_cells(cells)
-        rows = [r for r, _ in cells]
-        cols = [c for _, c in cells]
-        if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
+        super().__init__(cells)
+        rows = {r for r, _ in self.cells}
+        cols = {c for _, c in self.cells}
+        if len(rows) != len(self.cells) or len(cols) != len(self.cells):
             raise ValueError("rook diagram has two cells attacking each other")
-        object.__setattr__(self, "cells", cells)
-
-    def __iter__(self) -> Iterator[Cell]:
-        return iter(sorted(self.cells))
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def __contains__(self, cell: Cell) -> bool:
-        return cell in self.cells
 
 
 @dataclass(frozen=True)

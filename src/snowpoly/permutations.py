@@ -253,20 +253,18 @@ def shadow_lines(w: Iterable[int]) -> tuple[ShadowLine, ...]:
 
     A point lies in the shadow of another when both its coordinates are
     smaller or equal; each line collects the currently unshadowed points,
-    which are then removed and the construction repeats.
+    which are then removed and the construction repeats. A point is
+    shadowed by exactly the later, larger points, so by Mirsky's theorem
+    line k holds the points whose longest increasing subsequence from there
+    has length k. The peeling itself is an oracle in
+    tests/test_permutations.py.
     """
     w = tuple(w)
-    remaining = {(i, v) for i, v in enumerate(w, start=1)}
-    lines: list[ShadowLine] = []
-    while remaining:
-        maximal = {
-            p
-            for p in remaining
-            if not any(q != p and p[0] <= q[0] and p[1] <= q[1] for q in remaining)
-        }
-        lines.append(ShadowLine(tuple(sorted(maximal, reverse=True))))
-        remaining -= maximal
-    return tuple(lines)
+    lis = lis_lengths(w)
+    lines: list[list[tuple[int, int]]] = [[] for _ in range(max(lis, default=0))]
+    for i in range(len(w), 0, -1):
+        lines[lis[i - 1] - 1].append((i, w[i - 1]))
+    return tuple(ShadowLine(tuple(points)) for points in lines)
 
 
 def turning_points(w: Iterable[int]) -> frozenset[tuple[int, int]]:

@@ -116,12 +116,19 @@ def gr_stat(rook: RookDiagram, n: int) -> int:
 
 def nw_stat(rook: RookDiagram) -> int:
     """Number of positions weakly above or weakly left of some rook,
-    which is raj of the snowy weak composition with these dark clouds."""
-    marked: set[tuple[int, int]] = set()
-    for r, c in rook.cells:
-        marked.update((rp, c) for rp in range(1, r + 1))
-        marked.update((r, cp) for cp in range(1, c + 1))
-    return len(marked)
+    which is raj of the snowy weak composition with these dark clouds.
+
+    Rook (r, c) marks r + c - 1 positions. Two marked segments of different
+    rooks meet only where the column of (r, c) crosses the row of a rook
+    (r', c') with r' < r and c' > c, so the count is sum(r + c - 1) minus the
+    number of such pairs, taken here row by row over a bitmask of the
+    columns of the rooks above.
+    """
+    total = used = 0
+    for r, c in sorted(rook.cells):
+        total += r + c - 1 - (used >> (c + 1)).bit_count()
+        used |= 1 << c
+    return total
 
 
 # -- Hilbert series --------------------------------------------------------------
@@ -163,7 +170,6 @@ def _raj_weight(r: int, c: int, used: int) -> int:
     return c + (used >> (c + 1)).bit_count()
 
 
-@lru_cache(maxsize=None)
 def hilb_vn(n: int) -> QPolynomial:
     """Degree generating polynomial of the top span at level n: raj over the
     snowy box compositions, by a bottom-up transfer over rows that applies

@@ -44,11 +44,6 @@ def _check(
     )
 
 
-def is_scalar_multiple(f: Polynomial, g: Polynomial) -> bool:
-    """True when f = c * g for some nonzero rational c, or both are zero."""
-    return f.ray() == g.ray()
-
-
 # -- suites ---------------------------------------------------------------------
 
 

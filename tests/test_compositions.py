@@ -16,7 +16,6 @@ from snowpoly.compositions import (
     raj,
     raj_equivalent,
     rajcode,
-    rajcode_snowy_direct,
     s_action,
     snowy_from_rajcode,
     snowy_representative,
@@ -28,6 +27,18 @@ def random_comps(seed, count, entries=5, length=5):
     rng = random.Random(seed)
     for _ in range(count):
         yield tuple(rng.randint(0, entries) for _ in range(rng.randint(0, length)))
+
+
+def rajcode_snowy_direct(alpha):
+    """Oracle closed formula for snowy alpha: entry r is alpha_r plus the
+    number of later rows with a strictly larger entry. The production form
+    is the row weight of the raj transfer, `qbell._raj_weight`."""
+    alpha = canonical(alpha)
+    if not is_snowy(alpha):
+        raise ValueError("closed formula requires a snowy weak composition")
+    return canonical(
+        a + sum(1 for b in alpha[r + 1 :] if a < b) for r, a in enumerate(alpha)
+    )
 
 
 def test_canonical():
@@ -210,3 +221,20 @@ def test_snowy_from_rajcode_round_trip():
 def test_snowy_from_rajcode_rejects_non_rajcodes():
     with pytest.raises(ValueError):
         snowy_from_rajcode((0, 1))
+
+
+def test_snowy_from_rajcode_decides_every_code_in_a_box():
+    # the snowy composition with rajcode mu has alpha_r <= mu_r, so every
+    # rajcode in range(6)^5 comes from a composition in range(6)^5
+    box = list(product(range(6), repeat=5))
+    codes = {rajcode(alpha) for alpha in box}
+    accepted = 0
+    for mu in box:
+        if canonical(mu) in codes:
+            alpha = snowy_from_rajcode(mu)
+            assert is_snowy(alpha) and rajcode(alpha) == canonical(mu)
+            accepted += 1
+        else:
+            with pytest.raises(ValueError):
+                snowy_from_rajcode(mu)
+    assert accepted == 1546

@@ -111,6 +111,12 @@ def test_rook_diagram_rejects_attacks():
         RookDiagram({(1, 1), (1, 2)})
     with pytest.raises(ValueError):
         RookDiagram({(1, 1), (2, 1)})
+    rook = RookDiagram([(2, 1), (1, 3)])
+    assert isinstance(rook, Diagram)
+    assert rook.cells == frozenset({(1, 3), (2, 1)})
+    assert rook == RookDiagram({(1, 3), (2, 1)}) and rook != Diagram(rook.cells)
+    assert hash(rook) == hash((rook.cells,))
+    assert list(rook) == [(1, 3), (2, 1)] and len(rook) == 2 and (2, 1) in rook
 
 
 def _random_diagram(rng, max_row=6, max_col=6, cells=8):

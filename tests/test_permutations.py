@@ -42,6 +42,23 @@ def brute_lis_from(w, q):
     return best
 
 
+def peeled_shadow_lines(w):
+    """Oracle for shadow_lines: repeatedly take the points that no other
+    remaining point shadows, listed with i decreasing. Positions and values
+    are distinct, so a point is shadowed exactly when a later remaining
+    point is larger, which one right-to-left scan per line decides."""
+    remaining = list(enumerate(w, start=1))
+    lines = []
+    while remaining:
+        line, rest, top = [], [], 0
+        for i, v in reversed(remaining):
+            (line if v > top else rest).append((i, v))
+            top = max(top, v)
+        lines.append(tuple(line))
+        remaining = rest[::-1]
+    return tuple(lines)
+
+
 def test_canonical_and_parse():
     assert canonical((2, 1, 3, 4)) == (2, 1)
     assert canonical((1, 2, 3)) == ()
@@ -133,6 +150,12 @@ def test_shadow_example():
     assert len(lines) == 3
     assert lines[0].points == ((7, 4), (6, 6), (2, 7))
     assert turning_points((1, 2, 3, 4)) == frozenset()
+
+
+def test_shadow_lines_match_peeling():
+    for n in range(9):
+        for w in all_permutations(n):
+            assert tuple(line.points for line in shadow_lines(w)) == peeled_shadow_lines(w)
 
 
 def test_shadow_line_count_and_turning_count():
