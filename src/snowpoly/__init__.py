@@ -71,7 +71,6 @@ from .schubert import (
     schubert_polynomial,
     top_grothendieck,
     top_lascoux,
-    top_lascoux_recursive,
     vhat_basis,
 )
 

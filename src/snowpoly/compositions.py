@@ -106,17 +106,18 @@ def enumerate_cn(n: int) -> list[Composition]:
 
 
 def enumerate_snowy_cn(n: int) -> list[Composition]:
-    """The snowy members of the box, in lexicographic order.
-
-    Generated through the rook bijection (rooks in the staircase map to
-    snowy weak compositions via dark_inverse); the brute-force filter of
+    """The snowy members of the box, in lexicographic order: row r holds 0
+    or a column at most n - r that no earlier row uses. These are the rook
+    placements in the staircase, alpha_r being the column of the rook in
+    row r, so there are Bell(n) of them; the brute-force filter of
     enumerate_cn is kept as a test oracle.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    out = [dark_inverse(placement) for placement in diagrams.rook_placements(n)]
-    out.sort()
-    return out
+    prefixes: list[tuple[int, ...]] = [()]
+    for r in range(1, n):
+        prefixes = [a + (c,) for a in prefixes for c in range(n - r + 1) if c == 0 or c not in a]
+    return [canonical(a) for a in prefixes]
 
 
 def snowy_from_rajcode(mu: Iterable[int]) -> Composition:
@@ -135,7 +136,7 @@ def snowy_from_rajcode(mu: Iterable[int]) -> Composition:
     the non-rajcodes.
     """
     mu = canonical(mu)
-    darks: list[tuple[int, int]] = []
+    alpha = [0] * len(mu)
     taken: list[int] = []  # sorted dark columns strictly below the current row
     for r in range(len(mu), 0, -1):
         k = mu[r - 1] - len(taken)
@@ -148,7 +149,7 @@ def snowy_from_rajcode(mu: Iterable[int]) -> Composition:
                 col += 1
                 if col not in taken:
                     free_seen += 1
-            darks.append((r, col))
+            alpha[r - 1] = col
             taken.append(col)
             taken.sort()
-    return dark_inverse(darks)
+    return canonical(alpha)

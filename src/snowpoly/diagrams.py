@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from . import permutations
+
 Cell = tuple[int, int]
 
 
@@ -102,7 +104,11 @@ def weight(diagram) -> tuple[int, ...]:
 
 
 def key_diagram(alpha: Iterable[int]) -> Diagram:
-    """The left-justified diagram with alpha_r cells in row r."""
+    """The left-justified diagram with alpha_r cells in row r. Raises
+    ValueError for a negative entry."""
+    alpha = tuple(alpha)
+    if any(a < 0 for a in alpha):
+        raise ValueError(f"{alpha} has a negative entry")
     return Diagram(
         (r, c) for r, a in enumerate(alpha, start=1) for c in range(1, a + 1)
     )
@@ -116,8 +122,9 @@ def stair(n: int) -> Diagram:
 
 
 def rothe_diagram(w: Iterable[int]) -> Diagram:
-    """Cells (r, w(r')) over the inversions r < r', w(r) > w(r')."""
-    w = tuple(w)
+    """Cells (r, w(r')) over the inversions r < r', w(r) > w(r'). Raises
+    ValueError when w is not a permutation in one-line notation."""
+    w = permutations.canonical(w)
     n = len(w)
     return Diagram(
         (r + 1, w[rp])
@@ -211,30 +218,3 @@ def render_ascii(diagram) -> str:
         )
         lines.append(f"{r:>{width}} {row}".rstrip())
     return "\n".join(lines)
-
-
-def rook_placements(n: int) -> list[frozenset[Cell]]:
-    """All non-attacking rook placements inside the staircase of size n.
-
-    Deterministic order: rows are filled top to bottom, trying the empty
-    row first and then columns in increasing order.
-    """
-    if n < 1:
-        raise ValueError("staircase size must be positive")
-    out: list[frozenset[Cell]] = []
-
-    def place(r: int, used_cols: set[int], acc: list[Cell]):
-        if r > n - 1:
-            out.append(frozenset(acc))
-            return
-        place(r + 1, used_cols, acc)
-        for c in range(1, n - r + 1):
-            if c not in used_cols:
-                used_cols.add(c)
-                acc.append((r, c))
-                place(r + 1, used_cols, acc)
-                acc.pop()
-                used_cols.discard(c)
-
-    place(1, set(), [])
-    return out

@@ -208,25 +208,8 @@ def schensted(w: Iterable[int]) -> tuple[tuple[tuple[int, ...], ...], tuple[RowO
                 row_one_event = RowOneEvent(position, x, "bump", bumped, hit + 1)
             x = bumped
             depth += 1
-        assert row_one_event is not None
         events.append(row_one_event)
-    _check_partial(rows)
     return tuple(tuple(r) for r in rows), tuple(events)
-
-
-def _check_partial(rows: list[list[int]]) -> None:
-    seen: set[int] = set()
-    for k, row in enumerate(rows):
-        if any(a <= b for a, b in zip(row, row[1:])):
-            raise AssertionError(f"row {k + 1} is not decreasing: {row}")
-        if k + 1 < len(rows) and len(rows[k + 1]) > len(row):
-            raise AssertionError("row lengths must weakly decrease")
-        for j, v in enumerate(row):
-            if k + 1 < len(rows) and j < len(rows[k + 1]) and rows[k + 1][j] >= v:
-                raise AssertionError("columns must decrease downward")
-            if v in seen:
-                raise AssertionError(f"duplicate entry {v}")
-            seen.add(v)
 
 
 def row_one(w: Iterable[int]) -> tuple[int, ...]:

@@ -11,7 +11,8 @@ from functools import lru_cache
 from math import comb
 from typing import Callable, Iterable
 
-from .diagrams import RookDiagram, rook_placements
+from .compositions import enumerate_snowy_cn
+from .diagrams import RookDiagram
 
 QPolynomial = tuple[int, ...]
 
@@ -98,8 +99,13 @@ def bell(n: int) -> int:
 
 
 def enumerate_rook_n(n: int) -> list[RookDiagram]:
-    """Non-attacking rook diagrams inside the staircase of size n."""
-    return [RookDiagram(cells) for cells in rook_placements(n)]
+    """Non-attacking rook diagrams inside the staircase of size n, read off
+    the snowy box compositions: the rook of row r sits in column alpha_r.
+    Listed in the order of enumerate_snowy_cn."""
+    return [
+        RookDiagram((r, a) for r, a in enumerate(alpha, 1) if a)
+        for alpha in enumerate_snowy_cn(n)
+    ]
 
 
 def gr_stat(rook: RookDiagram, n: int) -> int:

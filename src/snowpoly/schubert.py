@@ -1,9 +1,11 @@
 """Divided-difference recursions for Grothendieck and Lascoux polynomials,
 their top-degree components, and basis expansions of the spanned spaces.
 
-All recursions are memoized on canonical keys; cached values are immutable
-polynomials, so concurrent lookups can at worst recompute an identical
-value.
+The Grothendieck and Lascoux recursions are memoized on canonical keys;
+cached values are immutable polynomials, so concurrent lookups can at worst
+recompute an identical value. The top layers are read off these
+polynomials; `verify.suite_top_las` checks that the snowy ones satisfy
+their own ascent recursion.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from .compositions import (
     Composition,
     enumerate_snowy_cn,
     in_cn,
-    is_snowy,
     s_action,
     snowy_from_rajcode,
 )
@@ -99,25 +100,6 @@ def key_polynomial(alpha: Iterable[int]) -> Polynomial:
 def top_lascoux(alpha: Iterable[int]) -> Polynomial:
     """Top b-layer of the Lascoux polynomial."""
     return top_component(lascoux(alpha))[1]
-
-
-def top_lascoux_recursive(alpha: Iterable[int]) -> Polynomial:
-    """Direct recursion for the top Lascoux polynomial of a snowy composition:
-    the monomial x^alpha when alpha is weakly decreasing, and otherwise the
-    ascent step f -> demazure(x_{i+1} * f, i). Must agree with top_lascoux."""
-    alpha = compositions.canonical(alpha)
-    if not is_snowy(alpha):
-        raise ValueError("recursion only applies to snowy weak compositions")
-    return _top_lascoux_recursive(alpha)
-
-
-@lru_cache(maxsize=None)
-def _top_lascoux_recursive(alpha: Composition) -> Polynomial:
-    ascent = _first_ascent(alpha)
-    if ascent is None:
-        return Polynomial.x_monomial(alpha)
-    f = Polynomial.x(ascent + 1) * _top_lascoux_recursive(s_action(alpha, ascent))
-    return demazure(f, ascent)
 
 
 # -- basis expansions ---------------------------------------------------------

@@ -21,6 +21,7 @@ from snowpoly.compositions import (
     snowy_representative,
 )
 from snowpoly.diagrams import RookDiagram, key_diagram
+from snowpoly.qbell import enumerate_rook_n
 
 
 def random_comps(seed, count, entries=5, length=5):
@@ -91,10 +92,12 @@ def test_dark_inverse_examples():
 
 
 def test_dark_inverse_bijection():
-    for placement in diagrams.rook_placements(5):
-        alpha = dark_inverse(RookDiagram(placement))
+    rooks = enumerate_rook_n(5)
+    for rook in rooks:
+        alpha = dark_inverse(rook)
         assert is_snowy(alpha)
-        assert diagrams.dark(key_diagram(alpha)).cells == placement
+        assert diagrams.dark(key_diagram(alpha)).cells == rook.cells
+    assert [dark_inverse(rook) for rook in rooks] == enumerate_snowy_cn(5)
     for alpha in enumerate_snowy_cn(5):
         assert dark_inverse(diagrams.dark(key_diagram(alpha))) == alpha
         assert diagrams.dark(key_diagram(alpha)).cells == {

@@ -14,7 +14,6 @@ from snowpoly.diagrams import (
     raj,
     rajcode,
     render_ascii,
-    rook_placements,
     rothe_diagram,
     snow,
     stair,
@@ -36,6 +35,11 @@ def test_key_diagram_examples():
     assert key_diagram((3, 2, 1)) == stair(4)
 
 
+def test_key_diagram_rejects_negative_entries():
+    with pytest.raises(ValueError):
+        key_diagram((-1, 2))
+
+
 def test_rothe_diagram_examples():
     # from the inversion set of 41532: {(1,2),(1,4),(1,5),(3,4),(3,5),(4,5)}
     assert rothe_diagram((4, 1, 5, 3, 2)).cells == {
@@ -43,6 +47,12 @@ def test_rothe_diagram_examples():
     }
     assert rothe_diagram((1, 2, 3)).cells == frozenset()
     assert weight(rothe_diagram((3, 7, 2, 1, 5, 6, 4))) == (2, 5, 1, 0, 1, 1)
+
+
+def test_rothe_diagram_rejects_non_permutations():
+    for w in [(3, 1), (1, 1), (0, 1)]:
+        with pytest.raises(ValueError):
+            rothe_diagram(w)
 
 
 def test_snow_example():
@@ -168,21 +178,3 @@ def test_raj_counts_cells_plus_flakes():
     for _ in range(200):
         d = _random_diagram(rng)
         assert raj(d) == len(d) + len(snow(d).flakes)
-
-
-def test_rook_placements_counts():
-    assert rook_placements(1) == [frozenset()]
-    assert len(rook_placements(3)) == 5
-    assert len(rook_placements(4)) == 15
-    # oracle: brute-force subsets of the staircase
-    from itertools import combinations
-
-    cells = sorted(stair(4).cells)
-    brute = 0
-    for k in range(len(cells) + 1):
-        for subset in combinations(cells, k):
-            rows = [r for r, _ in subset]
-            cols = [c for _, c in subset]
-            if len(set(rows)) == len(rows) and len(set(cols)) == len(cols):
-                brute += 1
-    assert len(rook_placements(4)) == brute

@@ -138,6 +138,21 @@ def test_schensted_events():
     assert [e.position for e in events] == [7, 6, 5, 4, 3, 2, 1]
 
 
+def test_schensted_tableau_shape_everywhere():
+    # oracle for the insertion: the final partial tableau of every w in
+    # S_0..S_7 has strictly decreasing rows and columns, weakly decreasing
+    # row lengths, and exactly the values of w as entries
+    for n in range(8):
+        for w in all_permutations(n):
+            rows, _ = schensted(w)
+            for row in rows:
+                assert all(a > b for a, b in zip(row, row[1:]))
+            for upper, lower in zip(rows, rows[1:]):
+                assert len(upper) >= len(lower)
+                assert all(a > b for a, b in zip(upper, lower))
+            assert sorted(v for row in rows for v in row) == list(range(1, n + 1))
+
+
 def test_insertion_column_is_lis():
     for w in all_permutations(5):
         for event in schensted(w)[1]:

@@ -1,13 +1,13 @@
 """q-analogues, rook statistics, and the Hilbert series."""
 
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import pytest
 
 from snowpoly import qbell
 from snowpoly.compositions import canonical, dark_inverse, is_snowy, raj
-from snowpoly.diagrams import RookDiagram, rook_placements, stair
+from snowpoly.diagrams import RookDiagram, stair
 from snowpoly.qbell import (
     bell,
     enumerate_rook_n,
@@ -74,6 +74,22 @@ def test_rook_enumeration():
         assert len(enumerate_rook_n(n)) == bell(n)
 
 
+def test_rook_enumeration_is_every_non_attacking_subset():
+    # oracle: brute-force subsets of the staircase
+    for n in range(1, 6):
+        cells = sorted(stair(n).cells)
+        brute = set()
+        for k in range(len(cells) + 1):
+            for subset in combinations(cells, k):
+                rows = {r for r, _ in subset}
+                cols = {c for _, c in subset}
+                if len(rows) == len(cols) == k:
+                    brute.add(frozenset(subset))
+        rooks = enumerate_rook_n(n)
+        assert len(rooks) == len(brute)
+        assert {r.cells for r in rooks} == brute
+
+
 def test_gr_and_nw_examples():
     assert gr_stat(RookDiagram(), 3) == 3
     assert gr_stat(RookDiagram({(2, 1)}), 3) == 1
@@ -111,13 +127,11 @@ def test_snow_raj_matches_closed_formula_and_nw_per_placement():
     # transfer's closed formula and with the northwest statistic on every
     # placement, and gr_stat agrees with the set-marking count
     for n in range(1, 9):
-        for placement in rook_placements(n):
-            alpha = dark_inverse(placement)
-            snow_raj = raj(alpha)
-            assert snow_raj == raj_by_row_weights(placement, n)
-            rook = RookDiagram(placement)
+        for rook in enumerate_rook_n(n):
+            snow_raj = raj(dark_inverse(rook))
+            assert snow_raj == raj_by_row_weights(rook.cells, n)
             assert snow_raj == nw_stat(rook)
-            assert gr_stat(rook, n) == gr_by_marking(placement, n)
+            assert gr_stat(rook, n) == gr_by_marking(rook.cells, n)
 
 
 def nw_weight(r, c, used):

@@ -29,9 +29,9 @@ from snowpoly.schubert import (
     schubert_polynomial,
     top_grothendieck,
     top_lascoux,
-    top_lascoux_recursive,
     vhat_basis,
 )
+from snowpoly.verify import run_suite
 
 ONE = Polynomial.one()
 B = Polynomial.beta()
@@ -115,12 +115,23 @@ def test_top_examples():
     assert top_grothendieck(()) == ONE
 
 
-def test_top_lascoux_recursive_examples():
-    assert top_lascoux_recursive((0, 2, 0)) == poly_of((1, (2, 1), 0), (1, (1, 2), 0))
-    assert top_lascoux_recursive((3, 1)) == poly_of((1, (3, 1), 0))
-    assert top_lascoux_recursive((0, 1)) == poly_of((1, (1, 1), 0))
-    with pytest.raises(ValueError):
-        top_lascoux_recursive((1, 1))
+def test_top_lascoux_snowy_examples():
+    assert top_lascoux((0, 2, 0)) == poly_of((1, (2, 1), 0), (1, (1, 2), 0))
+    assert top_lascoux((3, 1)) == poly_of((1, (3, 1), 0))
+    assert top_lascoux((0, 1)) == poly_of((1, (1, 1), 0))
+
+
+@pytest.mark.parametrize("alpha", [(3, 2, 1), (0, 0, 1)])
+def test_top_las_suite_catches_a_wrong_snowy_top_layer(monkeypatch, alpha):
+    # no snowy composition of the box C_4 reaches either alpha by its ascent
+    # step, so each is checked only by its own: (3, 2, 1) has no ascent and
+    # its layer must be x^alpha, (0, 0, 1) has its first ascent at 2
+    top = schubert.top_lascoux
+    monkeypatch.setattr(
+        schubert, "top_lascoux", lambda a: top(a) * 2 if a == alpha else top(a)
+    )
+    results = {r.name: r.passed for r in run_suite("top-las", 4)}
+    assert results["snowy top recursion agrees"] is False
 
 
 def test_ascent_choice_independence():
