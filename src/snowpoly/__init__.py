@@ -26,9 +26,9 @@ from .diagrams import (
 )
 from .kkohnert import (
     GhostDiagram,
+    PackedClosure,
     enumerate_kkd,
     kkohnert_polynomial,
-    kkohnert_successors,
     lascoux_via_kkd,
     up_ghost_move,
     up_move,

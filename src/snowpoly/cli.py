@@ -14,7 +14,7 @@ from typing import Iterable
 
 from . import compositions, diagrams, permutations, qbell, schubert, verify
 from .diagrams import Diagram, SnowDiagram, key_diagram, render_ascii, rothe_diagram, snow
-from .kkohnert import enumerate_kkd
+from .kkohnert import PackedClosure, enumerate_kkd
 from .permutations import parse_one_line, shadow_lines, turning_points
 from .polyring import Monomial, Polynomial, beta_component, taillex_key, top_component
 
@@ -195,12 +195,12 @@ def _cmd_rajcode(args) -> int:
 
 def _cmd_kkd(args) -> int:
     alpha = parse_composition(args.comp)
-    found = enumerate_kkd(alpha)
     if args.count:
-        _emit(args, str(len(found)), {"kind": "report", "count": len(found)})
+        count = len(PackedClosure(key_diagram(alpha)))
+        _emit(args, str(count), {"kind": "report", "count": count})
         return 0
     ordered = sorted(
-        found, key=lambda g: (g.excess, sorted(g.cells), sorted(g.ghosts))
+        enumerate_kkd(alpha), key=lambda g: (g.excess, sorted(g.cells), sorted(g.ghosts))
     )
     if args.json:
         doc = {

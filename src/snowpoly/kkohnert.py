@@ -9,13 +9,12 @@ so the closure from any starting diagram is finite.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
 from .compositions import canonical
 from .diagrams import Cell, Diagram, key_diagram, snow, _row_weight
-from .polyring import Polynomial
+from .polyring import Polynomial, packed_key, tally
 
 
 @dataclass(frozen=True)
@@ -49,53 +48,115 @@ class GhostDiagram:
         return len(self.ghosts)
 
 
-def kkohnert_successors(g: GhostDiagram) -> set[GhostDiagram]:
-    """All diagrams reachable from g by a single K-Kohnert move.
+class PackedClosure:
+    """The K-Kohnert closure of one start diagram, each diagram packed into
+    one int, with the packed monomial key of its x^weight * b^excess.
 
-    Per row, only the rightmost occupied position is movable, and only when
-    it is solid. It travels to the lowest empty position above it with no
-    ghost strictly in between; both the plain move and the ghost-leaving
-    move are emitted.
+    Row r of the solid cells is the field of bits [(r - 1) W, r W), where W
+    is the widest column plus 1; column c sits at bit W - 1 - c of its field,
+    so the rightmost cell of a row is the lowest set bit of its field and the
+    top bit of every field is free. The ghosts sit in the same layout shifted
+    up by nW, for n rows. A move changes the key by one row's increment, plus
+    one in b when it leaves a ghost, so no weight is ever recounted.
     """
-    occupied = g.cells
-    rightmost: dict[int, int] = {}
-    for r, c in occupied:
-        if c > rightmost.get(r, 0):
-            rightmost[r] = c
-    out: set[GhostDiagram] = set()
-    for r, c in rightmost.items():
-        if (r, c) in g.ghosts:
-            continue
-        target = None
-        for j in range(r - 1, 0, -1):
-            if (j, c) not in occupied:
-                target = j
-                break
-            if (j, c) in g.ghosts:
-                break
-        if target is None:
-            continue
-        moved = (g.solid - {(r, c)}) | {(target, c)}
-        out.add(GhostDiagram(moved, g.ghosts))
-        out.add(GhostDiagram(moved, g.ghosts | {(r, c)}))
-    return out
+
+    __slots__ = ("rows", "width", "keys")
+
+    def __init__(self, start: Diagram | GhostDiagram):
+        if isinstance(start, Diagram):
+            start = GhostDiagram(start.cells)
+        weight = start.weight()
+        self.rows = n = len(weight)
+        self.width = width = max((c for _, c in start.cells), default=0) + 1
+        b_unit = packed_key(bexp=1)
+        self.keys = keys = {self._pack(start): packed_key(weight, start.excess)}
+
+        ghost_shift = n * width
+        board = (1 << ghost_shift) - 1
+        ones = board // ((1 << width) - 1)  # bit 0 of every field
+        tops = ones << (width - 1)
+        below_row_1 = board ^ ((1 << width) - 1)
+        # the x-increment of the row of each position, keyed by its bit
+        rows = [packed_key((0,) * r + (1,)) for r in range(n)]
+        unit = {1 << (r * width + c): rows[r] for r in range(n) for c in range(width)}
+        frontier = list(keys)
+        while frontier:
+            found = []
+            for state in frontier:
+                key = keys[state]
+                solid = state & board
+                ghosts = state >> ghost_shift
+                # the lowest set bit of every field at once: the set top bits
+                # keep each field's borrow inside it
+                rightmost = ~(((solid | ghosts) | tops) - ones)
+                # only the rightmost position of a row moves, only if solid,
+                # and never out of row 1
+                movable = rightmost & solid & below_row_1
+                while movable:
+                    cell = movable & -movable
+                    movable ^= cell
+                    # lowest empty position above, jumping solid cells but no ghost
+                    above = cell >> width
+                    while above & solid:
+                        above >>= width
+                    if not above or ghosts & above:
+                        continue
+                    moved = state ^ cell ^ above
+                    up = key + unit[above]
+                    if moved not in keys:
+                        keys[moved] = up - unit[cell]
+                        found.append(moved)
+                    moved |= cell << ghost_shift
+                    if moved not in keys:
+                        keys[moved] = up + b_unit
+                        found.append(moved)
+            frontier = found
+
+    def _pack(self, g: GhostDiagram) -> int | None:
+        """The packed g, or None when a cell of g lies outside the layout."""
+        n, width = self.rows, self.width
+        state = 0
+        for cells, shift in ((g.solid, 0), (g.ghosts, n * width)):
+            for r, c in cells:
+                if r > n or c >= width:
+                    return None
+                state |= 1 << (shift + r * width - 1 - c)
+        return state
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __contains__(self, g: GhostDiagram) -> bool:
+        return self._pack(g) in self.keys
+
+    def diagrams(self) -> frozenset[GhostDiagram]:
+        """Every diagram of the closure, decoded."""
+        width = self.width
+        ghost_shift = self.rows * width
+
+        def cells(bits: int) -> list[Cell]:
+            out = []
+            while bits:
+                low = bits & -bits
+                r, c = divmod(low.bit_length() - 1, width)
+                out.append((r + 1, width - 1 - c))
+                bits ^= low
+            return out
+
+        board = (1 << ghost_shift) - 1
+        return frozenset(
+            GhostDiagram(cells(state & board), cells(state >> ghost_shift))
+            for state in self.keys
+        )
+
+    def polynomial(self) -> Polynomial:
+        """Sum of x^weight * b^excess over the closure."""
+        return tally(self.keys.values())
 
 
 def kkd_closure(start: Diagram | GhostDiagram) -> frozenset[GhostDiagram]:
-    """Breadth-first closure under K-Kohnert moves, including the start."""
-    if isinstance(start, Diagram):
-        start = GhostDiagram(start.cells)
-    seen: set[GhostDiagram] = {start}
-    frontier = [start]
-    while frontier:
-        found: list[GhostDiagram] = []
-        for g in frontier:
-            for h in kkohnert_successors(g):
-                if h not in seen:
-                    seen.add(h)
-                    found.append(h)
-        frontier = found
-    return frozenset(seen)
+    """Closure under K-Kohnert moves, including the start."""
+    return PackedClosure(start).diagrams()
 
 
 def enumerate_kkd(alpha: Iterable[int]) -> frozenset[GhostDiagram]:
@@ -103,14 +164,9 @@ def enumerate_kkd(alpha: Iterable[int]) -> frozenset[GhostDiagram]:
     return kkd_closure(key_diagram(canonical(alpha)))
 
 
-def generating_sum(closure: Iterable[GhostDiagram]) -> Polynomial:
-    """Sum of x^weight * b^excess over the diagrams, tallied in one pass."""
-    return Polynomial(Counter((g.weight(), g.excess) for g in closure))
-
-
-def kkohnert_polynomial(start: Diagram) -> Polynomial:
+def kkohnert_polynomial(start: Diagram | GhostDiagram) -> Polynomial:
     """Generating sum of x^weight * b^excess over the closure of any diagram."""
-    return generating_sum(kkd_closure(start))
+    return PackedClosure(start).polynomial()
 
 
 def lascoux_via_kkd(alpha: Iterable[int]) -> Polynomial:
@@ -165,7 +221,10 @@ def witness_diagram(alpha: Iterable[int]) -> GhostDiagram:
         for col in range(alpha[r - 1], c, -1):
             g = up_move(g, r, col)
         g = up_ghost_move(g, r, c)
-        assert _left_justified_beyond(g, c), (alpha, (r, c))
+        if not _left_justified_beyond(g, c):
+            raise ArithmeticError(
+                f"lifting {alpha} at dark cloud {(r, c)} left a gap right of column {c}"
+            )
     return g
 
 

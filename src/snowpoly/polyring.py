@@ -16,14 +16,16 @@ fields sum to less than 256, so a carry never reaches the next field before
 the guard sees it. 127 is above every exponent the recursions reach up to
 S_16: x-exponents stay below n, and the b-degree is at most C(n, 2) = 120.
 
-Keys never leave this module: `items`, `monomials`, `coefficient`,
-`Polynomial(mapping)` and `from_terms` speak in `Monomial(xexp, bexp)`, a
-view built on demand. Every value is immutable and every operation is a
-pure function.
+`items`, `monomials`, `coefficient`, `Polynomial(mapping)` and `from_terms`
+speak in `Monomial(xexp, bexp)`, a view built on demand. Keys leave this
+module only through `packed_key` and `tally`, for code that moves a
+monomial by adding keys, as the K-Kohnert closure does; the layout stays
+here. Every value is immutable and every operation is a pure function.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -55,6 +57,22 @@ def _key(xexp: Iterable[int] = (), bexp: int = 0) -> int:
             raise ValueError(f"exponent {e} exceeds the largest supported exponent {_LIMIT - 1}")
         key = (key << _WIDTH) | e
     return key
+
+
+def packed_key(xexp: Iterable[int] = (), bexp: int = 0) -> int:
+    """The packed key of x^xexp * b^bexp. The key of a single variable is
+    its increment: adding it to a key raises that exponent by one. Raises
+    ValueError for an exponent that is negative or 128 or more."""
+    return _key(xexp, bexp)
+
+
+def tally(keys: Iterable[int]) -> "Polynomial":
+    """The sum of the monomials with these packed keys, each counted once per
+    occurrence. Raises OverflowError when a key has a guard bit set. Keys
+    that step from a valid `packed_key` by one increment per field at a
+    time, every step tallied, set a guard bit at 128 before any carry can
+    cross into the next field."""
+    return _of(_guarded(dict(Counter(keys)), "tally"))
 
 
 def _guarded(terms: dict, op: str) -> dict:

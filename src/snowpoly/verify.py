@@ -8,7 +8,9 @@ that every check passed with the expected count. A check whose detail is
 an item count fails when that count is zero, so no suite passes on an
 empty set. A suite's default scale is its function's default argument:
 psw, top-las and expansions default to n = 7, all 5,040 permutations of
-S_7 or compositions of the box C_7.
+S_7 or compositions of the box C_7, and kkohnert to the 720 compositions
+of C_6. psw and top-las need a scale of at least 2: S_1 and C_1 have one
+element each, so no pair to compare.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from . import compositions, diagrams, permutations, qbell, schubert
 from .compositions import enumerate_cn, is_snowy
 from .diagrams import key_diagram, rothe_diagram
 from .goldens import GROTHENDIECK_S4, LASCOUX_C4
-from .kkohnert import enumerate_kkd, generating_sum, witness_diagram
+from .kkohnert import PackedClosure, witness_diagram
 from .permutations import all_permutations, is_inverse_fireworks, lis_lengths, schensted
 from .polyring import Polynomial, demazure, leading_monomial_taillex, top_component
 
@@ -198,7 +200,7 @@ def suite_top_las(scale: int = 7) -> list[CheckResult]:
     return results
 
 
-def suite_kkohnert(scale: int = 4) -> list[CheckResult]:
+def suite_kkohnert(scale: int = 6) -> list[CheckResult]:
     """K-Kohnert generating sums match the recursion, and the lifted
     extreme diagram realizes the rajcode weight. Each closure is built once
     and serves both checks."""
@@ -207,15 +209,16 @@ def suite_kkohnert(scale: int = 4) -> list[CheckResult]:
     bad_poly = []
     bad_witness = []
     for a in comps:
-        closure = enumerate_kkd(a)
-        if generating_sum(closure) != schubert.lascoux(a):
+        closure = PackedClosure(key_diagram(a))
+        if closure.polynomial() != schubert.lascoux(a):
             bad_poly.append(a)
         g = witness_diagram(a)
+        code = compositions.rajcode(a)
         ok = (
             g in closure
             and g.cells == diagrams.snow(key_diagram(a)).cells
-            and g.weight() == compositions.rajcode(a)
-            and g.excess == compositions.raj(a) - sum(a)
+            and g.weight() == code
+            and g.excess == sum(code) - sum(a)
         )
         if not ok:
             bad_witness.append(a)
@@ -372,20 +375,28 @@ SUITES = {
 }
 
 
+# the least scale of each suite whose every check covers an item; 1 if absent
+MIN_SCALE = {"psw": 2, "top-las": 2}
+
+
 def run_suite(name: str, scale: int | None = None) -> list[CheckResult]:
     """Run one suite by name, or all of them. Each check carries the wall
     time from the end of the previous check (the first one from the start of
     its suite), so shared set-up counts towards the first check that uses
-    it. Raises ValueError for a scale below 1."""
-    if scale is not None and scale < 1:
-        raise ValueError(f"scale must be at least 1, got {scale}")
+    it. Raises ValueError, before any suite runs, for a scale below the
+    least scale of a suite it would run."""
+    if name != "all" and name not in SUITES:
+        raise KeyError(f"unknown suite {name!r}")
+    names = list(SUITES) if name == "all" else [name]
+    for key in names:
+        least = MIN_SCALE.get(key, 1)
+        if scale is not None and scale < least:
+            raise ValueError(f"scale must be at least {least} for {key}, got {scale}")
     if name == "all":
         results: list[CheckResult] = []
-        for key in SUITES:
+        for key in names:
             results.extend(run_suite(key, scale))
         return results
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}")
     fn = SUITES[name]
     previous = time.perf_counter()
     results = fn() if scale is None else fn(scale)

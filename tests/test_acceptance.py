@@ -116,20 +116,20 @@ def test_criterion_05_top_lascoux_statements():
         )
 
 
-KKOHNERT_5 = {
-    "K-Kohnert sum equals recursive Lascoux": "120 compositions checked",
-    "witness diagram realizes rajcode": "120 compositions checked",
+KKOHNERT_6 = {
+    "K-Kohnert sum equals recursive Lascoux": "720 compositions checked",
+    "witness diagram realizes rajcode": "720 compositions checked",
 }
 
 
 def test_criterion_06_kkd_formula():
-    with Budget(6, 10.0, "K-Kohnert sums equal the recursion over the box for 5"):
-        assert_suite("kkohnert", 5, KKOHNERT_5)
+    with Budget(6, 10.0, "K-Kohnert sums equal the recursion over the box for 6"):
+        assert_suite("kkohnert", 6, KKOHNERT_6)
 
 
 def test_criterion_07_witness_construction():
-    with Budget(7, 60.0, "lifted extreme diagrams realize rajcode over the box for 5"):
-        assert_suite("kkohnert", 5, KKOHNERT_5)
+    with Budget(7, 60.0, "lifted extreme diagrams realize rajcode over the box for 6"):
+        assert_suite("kkohnert", 6, KKOHNERT_6)
 
 
 def test_criterion_08_insertion_correspondences():

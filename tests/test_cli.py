@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from snowpoly import verify
+from snowpoly import cli, verify
 from snowpoly.cli import (
     main,
     parse_cells,
@@ -17,6 +17,7 @@ from snowpoly.cli import (
     polynomial_from_doc,
     render_polynomial,
 )
+from snowpoly.kkohnert import PackedClosure
 from snowpoly.polyring import Polynomial
 
 
@@ -51,8 +52,12 @@ def test_rajcode_goldens(capsys):
     assert "(3,3,2,1,2) raj=11" in out
 
 
-def test_kkd_count_and_dump(capsys):
-    _, out, _ = run_cli(capsys, "kkd", "0,2,1", "--count")
+def test_kkd_count_and_dump(capsys, monkeypatch):
+    # the count is read off the packed closure, with no diagram decoded
+    with monkeypatch.context() as m:
+        m.setattr(cli, "enumerate_kkd", None)
+        m.setattr(PackedClosure, "diagrams", None)
+        _, out, _ = run_cli(capsys, "kkd", "0,2,1", "--count")
     assert out.strip() == "11"
     _, out, _ = run_cli(capsys, "kkd", "0,2,1")
     assert len(out.strip().splitlines()) == 11
@@ -97,11 +102,27 @@ def test_verify_all_at_scale_4(capsys):
     assert "[FAIL]" not in out
 
 
-def test_verify_fails_on_an_empty_set(capsys):
-    # S_1 has no pair of permutations to compare
-    code, out, _ = run_cli(capsys, "verify", "psw", "1")
+def test_verify_fails_on_an_empty_set(capsys, monkeypatch):
+    def suite(scale=1):
+        results = []
+        verify._check(results, "pairs agree", True, "0 pairs checked", 0)
+        return results
+
+    monkeypatch.setitem(verify.SUITES, "fake", suite)
+    code, out, _ = run_cli(capsys, "verify", "fake")
     assert code == 1
-    assert "[FAIL] proportional iff equal rajcode: 0 pairs checked" in out
+    assert "[FAIL] pairs agree: 0 pairs checked" in out
+
+
+def test_verify_refuses_a_scale_below_the_suite_minimum(capsys):
+    # S_1 and C_1 have one element each, so psw and top-las have no pair
+    for argv in (["psw", "1"], ["top-las", "1"], ["all", "1"]):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out) == (2, ""), argv
+        assert "scale must be at least 2" in err
+    code, out, _ = run_cli(capsys, "verify", "psw", "2")
+    assert code == 0
+    assert "1 pairs checked" in out
 
 
 def test_verify_json_is_one_document(capsys):

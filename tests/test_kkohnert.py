@@ -1,15 +1,18 @@
 """Ghost diagrams, K-Kohnert moves, and the lifting construction."""
 
+from collections import Counter
+
 import pytest
 
+from snowpoly import kkohnert, verify
 from snowpoly.compositions import enumerate_cn, raj, rajcode
 from snowpoly.diagrams import Diagram, key_diagram, snow
 from snowpoly.kkohnert import (
     GhostDiagram,
+    PackedClosure,
     enumerate_kkd,
     kkd_closure,
     kkohnert_polynomial,
-    kkohnert_successors,
     lascoux_via_kkd,
     up_ghost_move,
     up_move,
@@ -21,6 +24,58 @@ from snowpoly.schubert import lascoux
 
 def ghost(solid, ghosts=()):
     return GhostDiagram(frozenset(solid), frozenset(ghosts))
+
+
+# -- the object closure: the oracle for the packed one ---------------------------
+
+
+def oracle_successors(g: GhostDiagram) -> set[GhostDiagram]:
+    """All diagrams reachable from g by a single K-Kohnert move, on cell sets.
+
+    Per row, only the rightmost occupied position is movable, and only when
+    it is solid. It travels to the lowest empty position above it with no
+    ghost strictly in between; both the plain move and the ghost-leaving
+    move are emitted.
+    """
+    occupied = g.cells
+    rightmost: dict[int, int] = {}
+    for r, c in occupied:
+        if c > rightmost.get(r, 0):
+            rightmost[r] = c
+    out: set[GhostDiagram] = set()
+    for r, c in rightmost.items():
+        if (r, c) in g.ghosts:
+            continue
+        target = None
+        for j in range(r - 1, 0, -1):
+            if (j, c) not in occupied:
+                target = j
+                break
+            if (j, c) in g.ghosts:
+                break
+        if target is None:
+            continue
+        moved = (g.solid - {(r, c)}) | {(target, c)}
+        out.add(GhostDiagram(moved, g.ghosts))
+        out.add(GhostDiagram(moved, g.ghosts | {(r, c)}))
+    return out
+
+
+def oracle_closure(start) -> frozenset[GhostDiagram]:
+    """Breadth-first closure of a set of GhostDiagrams, including the start."""
+    if isinstance(start, Diagram):
+        start = GhostDiagram(start.cells)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        frontier = [h for g in frontier for h in oracle_successors(g) if h not in seen]
+        seen.update(frontier)
+    return frozenset(seen)
+
+
+def oracle_sum(closure) -> Polynomial:
+    """Sum of x^weight * b^excess, each weight counted from the cells."""
+    return Polynomial(Counter((g.weight(), g.excess) for g in closure))
 
 
 # the complete closure of the key diagram of (0, 2, 1): five ghost-free
@@ -41,27 +96,77 @@ KKD_021 = {
 
 
 def test_successors_of_key_021():
-    found = kkohnert_successors(ghost(key_diagram((0, 2, 1)).cells))
+    found = oracle_successors(ghost(key_diagram((0, 2, 1)).cells))
     assert ghost({(1, 2), (2, 1), (3, 1)}) in found
     assert ghost({(1, 2), (2, 1), (3, 1)}, {(2, 2)}) in found
-    assert kkohnert_successors(ghost(set())) == set()
+    assert oracle_successors(ghost(set())) == set()
 
 
 def test_successor_constraints():
     # a row whose rightmost cell is a ghost offers no move
     g = ghost({(2, 1)}, {(2, 2)})
-    assert kkohnert_successors(g) == set()
+    assert oracle_successors(g) == set()
     # ghosts block the way up: the only empty slot above (3,1) is behind a ghost
     blocked = ghost({(3, 1)}, {(2, 1)})
-    assert kkohnert_successors(blocked) == set()
+    assert oracle_successors(blocked) == set()
     # plain cells are jumped over
     jumper = ghost({(2, 1), (3, 1)})
-    results = kkohnert_successors(jumper)
+    results = oracle_successors(jumper)
     assert ghost({(1, 1), (2, 1)}) in results
 
 
 def test_enumerate_kkd_021_exact():
     assert enumerate_kkd((0, 2, 1)) == frozenset(KKD_021)
+    assert oracle_closure(key_diagram((0, 2, 1))) == frozenset(KKD_021)
+
+
+def assert_matches_oracle(start):
+    expected = oracle_closure(start)
+    packed = PackedClosure(start)
+    assert kkd_closure(start) == expected
+    assert len(packed) == len(expected)
+    assert all(g in packed for g in expected)
+    assert packed.polynomial() == kkohnert_polynomial(start) == oracle_sum(expected)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_packed_closure_matches_the_oracle_on_key_diagrams(n):
+    for alpha in enumerate_cn(n):
+        assert_matches_oracle(key_diagram(alpha))
+
+
+@pytest.mark.parametrize(
+    "start",
+    [
+        Diagram(),
+        Diagram({(2, 2)}),
+        ghost({(3, 1), (3, 2), (4, 3)}, {(2, 1), (4, 1)}),
+        ghost({(2, 3), (4, 3)}, {(3, 3), (1, 1)}),
+        *sorted(KKD_021, key=lambda g: (sorted(g.solid), sorted(g.ghosts))),
+    ],
+    ids=str,
+)
+def test_packed_closure_matches_the_oracle_on_other_starts(start):
+    assert_matches_oracle(start)
+
+
+def test_membership_outside_the_layout():
+    packed = PackedClosure(key_diagram((0, 2, 1)))
+    assert ghost({(1, 1), (1, 2), (2, 1)}, {(2, 2), (3, 1)}) in packed
+    assert ghost({(1, 3)}) not in packed  # column beyond the widest
+    assert ghost({(4, 1)}) not in packed  # row beyond the last
+    assert ghost({(1, 1), (1, 2), (2, 1)}, {(2, 2)}) in packed
+    assert ghost({(1, 1), (1, 2), (2, 1)}, {(3, 2)}) not in packed
+
+
+def test_exponent_guard():
+    # a start naming x1^128 is refused, as the kernel refuses it
+    with pytest.raises((ValueError, OverflowError)):
+        kkohnert_polynomial(Diagram({(1, c) for c in range(1, 129)}))
+    # a move that raises a row from 127 to 128 cells reaches the guard bit
+    lifted = Diagram({(1, c) for c in range(1, 128)} | {(2, 128)})
+    with pytest.raises(OverflowError):
+        kkohnert_polynomial(lifted)
 
 
 def test_enumerate_kkd_trivial():
@@ -140,6 +245,28 @@ def test_witness_worked_example():
         (6, 1), (6, 2),
     }
     assert g.cells == snow(key_diagram((1, 3, 4, 0, 4, 3))).cells
+
+
+def test_witness_raises_on_a_gap(monkeypatch):
+    monkeypatch.setattr(kkohnert, "_left_justified_beyond", lambda g, col: False)
+    with pytest.raises(ArithmeticError, match=r"\(0, 2, 1\).*dark cloud \(3, 1\)"):
+        witness_diagram((0, 2, 1))
+
+
+def test_kkohnert_suite_catches_a_witness_outside_the_closure(monkeypatch):
+    # the cells, weight (2, 2, 1) and excess 2 of the witness of (0, 2, 1),
+    # with the ghosts on a pair of positions no K-Kohnert diagram has
+    impostor = ghost({(1, 1), (1, 2), (3, 1)}, {(2, 1), (2, 2)})
+    assert impostor not in KKD_021
+    real = witness_diagram
+    monkeypatch.setattr(
+        verify, "witness_diagram", lambda a: impostor if a == (0, 2, 1) else real(a)
+    )
+    results = {r.name: r.passed for r in verify.run_suite("kkohnert", 4)}
+    assert results == {
+        "K-Kohnert sum equals recursive Lascoux": True,
+        "witness diagram realizes rajcode": False,
+    }
 
 
 def test_witness_trivial_and_021():
