@@ -11,7 +11,7 @@ from itertools import product
 from typing import Iterable
 
 from . import diagrams
-from .diagrams import RookDiagram, key_diagram
+from .diagrams import RookDiagram
 
 Composition = tuple[int, ...]
 
@@ -42,7 +42,7 @@ def is_snowy(alpha: Iterable[int]) -> bool:
 
 def rajcode(alpha: Iterable[int]) -> Composition:
     """rajcode of the key diagram of alpha."""
-    return diagrams.rajcode(key_diagram(canonical(alpha)))
+    return tuple(diagrams._key_snow(canonical(alpha))[1])
 
 
 def raj(alpha: Iterable[int]) -> int:
@@ -61,8 +61,11 @@ def dark_inverse(rook) -> Composition:
 
 
 def snowy_representative(alpha: Iterable[int]) -> Composition:
-    """The unique snowy weak composition with the same rajcode as alpha."""
-    return dark_inverse(diagrams.dark(key_diagram(canonical(alpha))))
+    """The unique snowy weak composition with the same rajcode as alpha:
+    entry r is the column of the dark cloud in row r of the key diagram, 0
+    when there is none. The last row of the key diagram always holds one,
+    so the result has no trailing zeros."""
+    return tuple(diagrams._key_snow(canonical(alpha))[0])
 
 
 def raj_equivalent(alpha: Iterable[int], gamma: Iterable[int]) -> bool:

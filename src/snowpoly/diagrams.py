@@ -3,6 +3,18 @@
 A diagram is a finite set of (row, column) cells, 1-indexed with row 1 on
 top and column 1 on the left. The snow construction decorates a diagram
 with dark clouds and snowflakes; its row weights define rajcode and raj.
+
+The snow construction runs on row masks: entry r - 1 of a list of ints is
+row r, with one bit per column. A general diagram ranks its occupied
+columns, so bit i stands for the (i + 1)-th smallest of them and the mask
+width is the number of distinct columns, whatever their values; the key
+diagram of alpha has column c at bit c - 1, so row r is (1 << alpha_r) - 1
+and no cell set is built for it.
+
+The public Diagram and RookDiagram constructors check every cell. The
+diagrams the library builds itself (rothe_diagram, key_diagram, dark and
+the rook placements of qbell) come from inputs already checked, and skip
+that second check.
 """
 
 from __future__ import annotations
@@ -42,6 +54,14 @@ class Diagram:
     def __init__(self, cells: Iterable[Cell] = ()):
         object.__setattr__(self, "cells", _check_cells(cells))
 
+    @classmethod
+    def _trusted(cls, cells: frozenset[Cell]):
+        """A diagram of cells the library built itself, without the checks
+        of the public constructor."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "cells", cells)
+        return d
+
     def __iter__(self) -> Iterator[Cell]:
         return iter(sorted(self.cells))
 
@@ -58,10 +78,12 @@ class RookDiagram(Diagram):
 
     def __init__(self, cells: Iterable[Cell] = ()):
         super().__init__(cells)
-        rows = {r for r, _ in self.cells}
-        cols = {c for _, c in self.cells}
-        if len(rows) != len(self.cells) or len(cols) != len(self.cells):
-            raise ValueError("rook diagram has two cells attacking each other")
+        _check_rooks(self.cells)
+
+
+def _check_rooks(cells: frozenset[Cell]) -> None:
+    if len({r for r, _ in cells}) != len(cells) or len({c for _, c in cells}) != len(cells):
+        raise ValueError("rook diagram has two cells attacking each other")
 
 
 @dataclass(frozen=True)
@@ -77,7 +99,7 @@ class SnowDiagram:
             raise ValueError("every dark cloud must sit on a cell of the diagram")
         if self.flakes & self.base.cells:
             raise ValueError("snowflakes must sit outside the diagram")
-        RookDiagram(self.darks)
+        _check_rooks(self.darks)
         dark_cols = {c: r for r, c in self.darks}
         for r, c in self.flakes:
             if dark_cols.get(c, 0) <= r:
@@ -109,8 +131,8 @@ def key_diagram(alpha: Iterable[int]) -> Diagram:
     alpha = tuple(alpha)
     if any(a < 0 for a in alpha):
         raise ValueError(f"{alpha} has a negative entry")
-    return Diagram(
-        (r, c) for r, a in enumerate(alpha, start=1) for c in range(1, a + 1)
+    return Diagram._trusted(
+        frozenset((r, c) for r, a in enumerate(alpha, start=1) for c in range(1, a + 1))
     )
 
 
@@ -125,56 +147,80 @@ def rothe_diagram(w: Iterable[int]) -> Diagram:
     """Cells (r, w(r')) over the inversions r < r', w(r) > w(r'). Raises
     ValueError when w is not a permutation in one-line notation."""
     w = permutations.canonical(w)
-    n = len(w)
-    return Diagram(
-        (r + 1, w[rp])
-        for r in range(n)
-        for rp in range(r + 1, n)
-        if w[r] > w[rp]
+    return Diagram._trusted(
+        frozenset((r, v) for r, u in enumerate(w, 1) for v in w[r:] if v < u)
     )
 
 
-def _snow_parts(cells: frozenset[Cell]) -> tuple[list[Cell], list[Cell]]:
-    """Dark-cloud and snowflake positions of the snow construction.
+def _snow_rows(rows: list[int]) -> tuple[list[int], list[int]]:
+    """Dark cloud and snow weight of each row of the snow construction.
 
-    Rows of the diagram are visited bottom to top; in each row the rightmost
-    cell whose column holds no dark cloud yet becomes one, and the column
-    above it is filled with snowflakes on empty positions. Candidates are
-    always cells of the original diagram, never snowflakes.
+    Rows are visited bottom to top, with `taken` the mask of the columns
+    darkened below. The dark cloud of a row is its rightmost cell in a
+    column not taken yet, given as its bit index plus one, 0 when the row
+    has none. The snowflakes of a row are the taken columns it leaves
+    empty, so its weight in the snow diagram is the size of row | taken.
     """
-    rows: dict[int, list[int]] = {}
+    darks = [0] * len(rows)
+    weights = [0] * len(rows)
+    taken = 0
+    for r in range(len(rows) - 1, -1, -1):
+        row = rows[r]
+        weights[r] = (row | taken).bit_count()
+        free = row & ~taken
+        if free:
+            darks[r] = d = free.bit_length()
+            taken |= 1 << (d - 1)
+    return darks, weights
+
+
+def _key_snow(alpha: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """The snow construction on the key diagram of a canonical alpha, whose
+    row r is the mask (1 << alpha_r) - 1: the column of the dark cloud of
+    each row (0 for none) and the row weights."""
+    return _snow_rows([(1 << a) - 1 for a in alpha])
+
+
+def _row_masks(cells: frozenset[Cell]) -> tuple[list[int], list[int]]:
+    """The row masks of a diagram over its ranked columns, and the columns
+    in rank order."""
+    cols = sorted({c for _, c in cells})
+    bit = {c: 1 << i for i, c in enumerate(cols)}
+    rows = [0] * max((r for r, _ in cells), default=0)
     for r, c in cells:
-        rows.setdefault(r, []).append(c)
-    darks: list[Cell] = []
-    taken_cols: set[int] = set()
-    for r in sorted(rows, reverse=True):
-        for c in sorted(rows[r], reverse=True):
-            if c not in taken_cols:
-                darks.append((r, c))
-                taken_cols.add(c)
-                break
-    flakes = [
-        (rp, c) for r, c in darks for rp in range(1, r) if (rp, c) not in cells
-    ]
-    return darks, flakes
+        rows[r - 1] |= bit[c]
+    return rows, cols
+
+
+def _dark_cells(darks: list[int], cols: list[int]) -> frozenset[Cell]:
+    return frozenset((r, cols[d - 1]) for r, d in enumerate(darks, 1) if d)
 
 
 def snow(diagram: Diagram) -> SnowDiagram:
-    """The snow diagram of a diagram."""
-    darks, flakes = _snow_parts(diagram.cells)
-    return SnowDiagram(diagram, frozenset(darks), frozenset(flakes))
+    """The snow diagram of a diagram: each dark cloud fills the empty
+    positions above it in its column with snowflakes."""
+    rows, cols = _row_masks(diagram.cells)
+    darks, _ = _snow_rows(rows)
+    flakes = [
+        (rp, cols[d - 1])
+        for r, d in enumerate(darks, 1)
+        if d
+        for rp in range(1, r)
+        if not rows[rp - 1] >> (d - 1) & 1
+    ]
+    return SnowDiagram(diagram, _dark_cells(darks, cols), frozenset(flakes))
 
 
 def dark(diagram: Diagram) -> RookDiagram:
     """The dark-cloud positions of the snow diagram."""
-    darks, _ = _snow_parts(diagram.cells)
-    return RookDiagram(darks)
+    rows, cols = _row_masks(diagram.cells)
+    darks, _ = _snow_rows(rows)
+    return RookDiagram._trusted(_dark_cells(darks, cols))
 
 
 def rajcode(diagram: Diagram) -> tuple[int, ...]:
     """Row weights of the snow diagram."""
-    darks, flakes = _snow_parts(diagram.cells)
-    return _row_weight(list(diagram.cells) + flakes)
+    return tuple(_snow_rows(_row_masks(diagram.cells)[0])[1])
 
 
 def raj(diagram: Diagram) -> int:

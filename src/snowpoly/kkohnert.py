@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .compositions import canonical
-from .diagrams import Cell, Diagram, key_diagram, snow, _row_weight
+from .diagrams import Cell, Diagram, SnowDiagram, _row_weight, key_diagram, weight
 from .polyring import Polynomial, packed_key, tally
 
 
@@ -174,23 +174,31 @@ def lascoux_via_kkd(alpha: Iterable[int]) -> Polynomial:
     return kkohnert_polynomial(key_diagram(canonical(alpha)))
 
 
+def _lift(solid: set[Cell], ghosts: set[Cell], r: int, c: int, leave_ghosts: bool) -> None:
+    """Move the solid cell (r, c) in place to the highest empty position of
+    its column, unless that position lies below row r; with leave_ghosts,
+    fill (r, c) and the skipped empty positions with ghosts."""
+    target = 1
+    while (target, c) in solid or (target, c) in ghosts:
+        target += 1
+    if target > r:
+        return
+    solid.remove((r, c))
+    solid.add((target, c))
+    if leave_ghosts:
+        ghosts.add((r, c))
+        ghosts.update(
+            (j, c) for j in range(target + 1, r) if (j, c) not in solid and (j, c) not in ghosts
+        )
+
+
 def _up(g: GhostDiagram, r: int, c: int, leave_ghosts: bool) -> GhostDiagram:
     if (r, c) in g.ghosts:
         raise ValueError(f"cell {(r, c)} is a ghost and cannot move")
     if (r, c) not in g.solid:
         raise ValueError(f"cell {(r, c)} is not in the diagram")
-    occupied = g.cells
-    target = 1
-    while (target, c) in occupied:
-        target += 1
-    if target > r:
-        return g
-    solid = (g.solid - {(r, c)}) | {(target, c)}
-    ghosts = g.ghosts
-    if leave_ghosts:
-        ghosts = ghosts | {(r, c)} | {
-            (j, c) for j in range(target + 1, r) if (j, c) not in occupied
-        }
+    solid, ghosts = set(g.solid), set(g.ghosts)
+    _lift(solid, ghosts, r, c, leave_ghosts)
     return GhostDiagram(solid, ghosts)
 
 
@@ -205,30 +213,33 @@ def up_ghost_move(g: GhostDiagram, r: int, c: int) -> GhostDiagram:
     return _up(g, r, c, leave_ghosts=True)
 
 
-def witness_diagram(alpha: Iterable[int]) -> GhostDiagram:
-    """A K-Kohnert diagram of alpha sharing its cells with the snow diagram.
+def witness_diagram(sd: SnowDiagram) -> GhostDiagram:
+    """A K-Kohnert diagram of a key diagram sharing its cells with sd, the
+    snow diagram of that key diagram. Raises ValueError when the base of sd
+    is not a key diagram.
 
     Dark clouds are visited in increasing column order; for a dark cloud at
     (r, c) the cells of row r from column alpha_r down to c+1 are lifted
     plainly and the cell at (r, c) is lifted leaving ghosts. The result has
     weight rajcode(alpha) and excess raj(alpha) - |alpha|.
     """
-    alpha = canonical(alpha)
-    start = key_diagram(alpha)
-    darks = sorted(snow(start).darks, key=lambda rc: rc[1])
-    g = GhostDiagram(start.cells)
-    for r, c in darks:
+    alpha = weight(sd.base)
+    # a row of alpha_r distinct cells with none right of column alpha_r
+    # holds exactly the columns 1..alpha_r
+    if any(c > alpha[r - 1] for r, c in sd.base.cells):
+        raise ValueError("the witness is defined on the snow diagram of a key diagram")
+    solid, ghosts = set(sd.base.cells), set()
+    for r, c in sorted(sd.darks, key=lambda rc: rc[1]):
         for col in range(alpha[r - 1], c, -1):
-            g = up_move(g, r, col)
-        g = up_ghost_move(g, r, c)
-        if not _left_justified_beyond(g, c):
+            _lift(solid, ghosts, r, col, leave_ghosts=False)
+        _lift(solid, ghosts, r, c, leave_ghosts=True)
+        if not _left_justified_beyond(solid | ghosts, c):
             raise ArithmeticError(
                 f"lifting {alpha} at dark cloud {(r, c)} left a gap right of column {c}"
             )
-    return g
+    return GhostDiagram(solid, ghosts)
 
 
-def _left_justified_beyond(g: GhostDiagram, col: int) -> bool:
+def _left_justified_beyond(cells: set[Cell], col: int) -> bool:
     """Every cell strictly right of col has an occupied left neighbor."""
-    cells = g.cells
     return all(c <= col or (r, c - 1) in cells for r, c in cells)

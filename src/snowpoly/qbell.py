@@ -7,8 +7,7 @@ by q-exponent, with trailing zeros trimmed.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from math import comb
+from operator import add
 from typing import Callable, Iterable
 
 from .compositions import enumerate_snowy_cn
@@ -58,41 +57,70 @@ def q_int(n: int) -> QPolynomial:
     return (1,) * n
 
 
-@lru_cache(maxsize=None)
+def _q_stirling_row(n: int, k: int) -> list[QPolynomial]:
+    """q_stirling(n, j) for j = 0..k, built row by row from row 0 by
+    S(m, j) = q^(j-1) S(m-1, j-1) + [j]_q S(m-1, j), on coefficient lists.
+    Every coefficient is nonnegative, so no sum is ever trimmed."""
+
+    def add_at(out: list[int], p: list[int], shift: int) -> None:
+        out[shift : shift + len(p)] = map(add, out[shift : shift + len(p)], p)
+
+    row: list[list[int]] = [[1]] + [[] for _ in range(k)]
+    for _ in range(n):
+        # high j first, so that row[j - 1] still holds the previous row
+        for j in range(k, 0, -1):
+            a, b = row[j - 1], row[j]
+            if not a and not b:
+                continue
+            out = [0] * (max(len(a), len(b)) + j - 1)
+            for shift in range(j):
+                add_at(out, b, shift)
+            add_at(out, a, j - 1)
+            row[j] = out
+        row[0] = []
+    return [tuple(p) for p in row]
+
+
 def q_stirling(n: int, k: int) -> QPolynomial:
     """q-analogue of the Stirling number of the second kind."""
     if n < 0 or k < 0:
         return ()
-    if n == 0:
-        return (1,) if k == 0 else ()
-    shifted = qp_mul((0,) * (k - 1) + (1,), q_stirling(n - 1, k - 1)) if k >= 1 else ()
-    return qp_add(shifted, qp_mul(q_int(k), q_stirling(n - 1, k)))
+    return _q_stirling_row(n, k)[k]
 
 
 def q_bell(n: int) -> QPolynomial:
     """Sum of the q-Stirling numbers over all part counts."""
+    if n < 0:
+        return ()
     total: QPolynomial = ()
-    for k in range(n + 1):
-        total = qp_add(total, q_stirling(n, k))
+    for s in _q_stirling_row(n, n):
+        total = qp_add(total, s)
     return total
 
 
-@lru_cache(maxsize=None)
 def stirling(n: int, k: int) -> int:
-    """Stirling number of the second kind."""
+    """Stirling number of the second kind, built row by row from row 0."""
     if n < 0 or k < 0:
         return 0
-    if n == 0:
-        return 1 if k == 0 else 0
-    return stirling(n - 1, k - 1) + k * stirling(n - 1, k)
+    row = [1] + [0] * k
+    for _ in range(n):
+        row = [0] + [row[j - 1] + j * row[j] for j in range(1, k + 1)]
+    return row[k]
 
 
-@lru_cache(maxsize=None)
 def bell(n: int) -> int:
-    """Bell number, by the binomial recurrence."""
-    if n == 0:
-        return 1
-    return sum(comb(n - 1, j) * bell(j) for j in range(n))
+    """Bell number, by the Bell triangle: each row starts with the last
+    entry of the row above and adds, left to right, the entry above; B(n)
+    starts row n. 0 for negative n."""
+    if n < 0:
+        return 0
+    row = [1]
+    for _ in range(n):
+        nxt = [row[-1]]
+        for above in row:
+            nxt.append(nxt[-1] + above)
+        row = nxt
+    return row[0]
 
 
 # -- rook statistics -----------------------------------------------------------
@@ -103,7 +131,7 @@ def enumerate_rook_n(n: int) -> list[RookDiagram]:
     the snowy box compositions: the rook of row r sits in column alpha_r.
     Listed in the order of enumerate_snowy_cn."""
     return [
-        RookDiagram((r, a) for r, a in enumerate(alpha, 1) if a)
+        RookDiagram._trusted(frozenset((r, a) for r, a in enumerate(alpha, 1) if a))
         for alpha in enumerate_snowy_cn(n)
     ]
 

@@ -202,21 +202,23 @@ def suite_top_las(scale: int = 7) -> list[CheckResult]:
 
 def suite_kkohnert(scale: int = 6) -> list[CheckResult]:
     """K-Kohnert generating sums match the recursion, and the lifted
-    extreme diagram realizes the rajcode weight. Each closure is built once
-    and serves both checks."""
+    extreme diagram realizes the rajcode weight. Each key diagram, its
+    closure and its snow diagram are built once and serve both checks."""
     results: list[CheckResult] = []
     comps = enumerate_cn(scale)
     bad_poly = []
     bad_witness = []
     for a in comps:
-        closure = PackedClosure(key_diagram(a))
+        start = key_diagram(a)
+        closure = PackedClosure(start)
         if closure.polynomial() != schubert.lascoux(a):
             bad_poly.append(a)
-        g = witness_diagram(a)
+        sd = diagrams.snow(start)
+        g = witness_diagram(sd)
         code = compositions.rajcode(a)
         ok = (
             g in closure
-            and g.cells == diagrams.snow(key_diagram(a)).cells
+            and g.cells == sd.cells
             and g.weight() == code
             and g.excess == sum(code) - sum(a)
         )

@@ -1,9 +1,12 @@
 """Diagrams, the snow construction, and its statistics."""
 
 import random
+import time
+from itertools import permutations, product
 
 import pytest
 
+from snowpoly import cli
 from snowpoly.diagrams import (
     Diagram,
     RookDiagram,
@@ -36,8 +39,9 @@ def test_key_diagram_examples():
 
 
 def test_key_diagram_rejects_negative_entries():
-    with pytest.raises(ValueError):
-        key_diagram((-1, 2))
+    for alpha in [(-1,), (-1, 2), (2, 0, -3)]:
+        with pytest.raises(ValueError):
+            key_diagram(alpha)
 
 
 def test_rothe_diagram_examples():
@@ -116,6 +120,39 @@ def test_snow_diagram_invariants_validated():
         SnowDiagram(base, frozenset(), frozenset({(1, 1)}))  # flake with no dark below
 
 
+def test_diagram_rejects_cells_outside_the_quadrant():
+    for cells in [{(0, 1)}, {(1, 0)}, {(2, 2), (-1, 3)}]:
+        with pytest.raises(ValueError):
+            Diagram(cells)
+        with pytest.raises(ValueError):
+            RookDiagram(cells)
+
+
+def test_library_built_diagrams_equal_checked_ones():
+    # the diagrams the library builds without the constructor's checks are
+    # the ones the checked constructors give for the same cells
+    for d in [rothe_diagram((4, 1, 5, 3, 2)), key_diagram((2, 0, 4, 3, 1)), stair(4)]:
+        assert type(d) is Diagram and d == Diagram(d.cells)
+        rooks = dark(d)
+        assert type(rooks) is RookDiagram and rooks == RookDiagram(rooks.cells)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["snow", "--cells", "0,1"],
+        ["rajcode", "--cells", "2,0;1,1"],
+        ["snow", "--perm", "11"],
+        ["rajcode", "--comp=-1"],
+        ["snow", "--comp=2,-1"],
+    ],
+)
+def test_cli_rejects_invalid_diagrams(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error" in captured.err
+
+
 def test_rook_diagram_rejects_attacks():
     with pytest.raises(ValueError):
         RookDiagram({(1, 1), (1, 2)})
@@ -178,3 +215,85 @@ def test_raj_counts_cells_plus_flakes():
     for _ in range(200):
         d = _random_diagram(rng)
         assert raj(d) == len(d) + len(snow(d).flakes)
+
+
+# -- the snow construction against its cell-set oracle -------------------------
+
+
+def snow_parts_oracle(cells):
+    """Oracle for the row-mask snow construction: dark clouds and
+    snowflakes computed on the cell set itself.
+
+    Rows are visited bottom to top; in each row the rightmost cell whose
+    column holds no dark cloud yet becomes one, and the column above it is
+    filled with snowflakes on empty positions.
+    """
+    rows = {}
+    for r, c in cells:
+        rows.setdefault(r, []).append(c)
+    darks = set()
+    taken_cols = set()
+    for r in sorted(rows, reverse=True):
+        for c in sorted(rows[r], reverse=True):
+            if c not in taken_cols:
+                darks.add((r, c))
+                taken_cols.add(c)
+                break
+    flakes = {(rp, c) for r, c in darks for rp in range(1, r) if (rp, c) not in cells}
+    return darks, flakes
+
+
+IRREGULAR = [
+    Diagram(),
+    Diagram({(3, 2)}),  # empty rows above the only cell
+    Diagram({(1, 4), (4, 1), (4, 7)}),  # empty rows between cells
+    Diagram({(2, 1), (2, 5), (2, 9), (5, 5)}),  # gaps inside rows
+    Diagram({(1, 2), (3, 2), (6, 2)}),  # one column, rows apart
+    Diagram({(2, 10**9), (1, 3), (5, 3), (5, 10**9 - 1)}),  # columns far apart
+    EXAMPLE,
+]
+
+
+def _oracle_diagrams():
+    for n in range(1, 8):
+        for w in permutations(range(1, n + 1)):
+            yield rothe_diagram(w)
+        for alpha in product(*(range(n - r + 1) for r in range(1, n))):
+            yield key_diagram(alpha)
+    yield from IRREGULAR
+    rng = random.Random(4242)
+    for _ in range(300):
+        yield _random_diagram(rng, max_row=7, max_col=9, cells=rng.randint(0, 14))
+
+
+def test_snow_matches_cell_set_oracle():
+    # every Rothe diagram of S_n and key diagram of the box C_n, n <= 7,
+    # the irregular diagrams above and random ones
+    for d in _oracle_diagrams():
+        darks, flakes = snow_parts_oracle(d.cells)
+        sd = snow(d)
+        assert (sd.darks, sd.flakes) == (darks, flakes), sorted(d.cells)
+        assert dark(d).cells == darks
+        assert rajcode(d) == weight(Diagram(d.cells | flakes))
+
+
+def test_far_column_costs_its_rank_not_its_value():
+    d = Diagram({(1, 10**9), (3, 1), (3, 10**9)})
+    start = time.perf_counter()
+    code = rajcode(d)
+    sd = snow(d)
+    assert time.perf_counter() - start < 1.0
+    assert code == (1, 1, 2)
+    assert sd.darks == {(3, 10**9)} and sd.flakes == {(2, 10**9)}
+
+
+def test_render_ascii_of_snow_on_cli_examples():
+    # `snowpoly snow` on the README cells, on --perm 3721564 and on
+    # --comp 2,0,4,3,1
+    goldens = [
+        (cli.parse_cells("1,3;2,1;2,2;3,3;5,1;5,2"), "1 **·\n2 ●·*\n3  *●\n4  *\n5 ·●"),
+        (rothe_diagram((3, 7, 2, 1, 5, 6, 4)), "1 ·● * *\n2 ·· ··●\n3 ●  *\n4    *\n5    ·\n6    ●"),
+        (key_diagram((2, 0, 4, 3, 1)), "1 ·●**\n2 * **\n3 ···●\n4 ··●\n5 ●"),
+    ]
+    for d, text in goldens:
+        assert render_ascii(snow(d)) == text

@@ -234,8 +234,12 @@ def test_up_ghost_move_fills_gap():
     assert lifted.ghosts == {(2, 1), (3, 1)}
 
 
+def witness_of(alpha):
+    return witness_diagram(snow(key_diagram(alpha)))
+
+
 def test_witness_worked_example():
-    g = witness_diagram((1, 3, 4, 0, 4, 3))
+    g = witness_of((1, 3, 4, 0, 4, 3))
     assert g.ghosts == {(3, 2), (3, 4), (4, 3), (4, 4), (5, 4), (6, 3)}
     assert g.solid == {
         (1, 1), (1, 2), (1, 3), (1, 4),
@@ -250,7 +254,13 @@ def test_witness_worked_example():
 def test_witness_raises_on_a_gap(monkeypatch):
     monkeypatch.setattr(kkohnert, "_left_justified_beyond", lambda g, col: False)
     with pytest.raises(ArithmeticError, match=r"\(0, 2, 1\).*dark cloud \(3, 1\)"):
-        witness_diagram((0, 2, 1))
+        witness_of((0, 2, 1))
+
+
+def test_witness_rejects_a_base_that_is_not_a_key_diagram():
+    for cells in [{(1, 2)}, {(1, 1), (2, 1), (2, 3)}]:
+        with pytest.raises(ValueError):
+            witness_diagram(snow(Diagram(cells)))
 
 
 def test_kkohnert_suite_catches_a_witness_outside_the_closure(monkeypatch):
@@ -260,7 +270,9 @@ def test_kkohnert_suite_catches_a_witness_outside_the_closure(monkeypatch):
     assert impostor not in KKD_021
     real = witness_diagram
     monkeypatch.setattr(
-        verify, "witness_diagram", lambda a: impostor if a == (0, 2, 1) else real(a)
+        verify,
+        "witness_diagram",
+        lambda sd: impostor if sd.base == key_diagram((0, 2, 1)) else real(sd),
     )
     results = {r.name: r.passed for r in verify.run_suite("kkohnert", 4)}
     assert results == {
@@ -271,8 +283,8 @@ def test_kkohnert_suite_catches_a_witness_outside_the_closure(monkeypatch):
 
 def test_witness_trivial_and_021():
     start = key_diagram((2, 1))
-    assert witness_diagram((2, 1)) == ghost(start.cells)
-    g = witness_diagram((0, 2, 1))
+    assert witness_of((2, 1)) == ghost(start.cells)
+    g = witness_of((0, 2, 1))
     assert g.weight() == (2, 2, 1)
     assert g.excess == 2
     assert g in KKD_021

@@ -1,5 +1,6 @@
 """q-analogues, rook statistics, and the Hilbert series."""
 
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
@@ -36,6 +37,40 @@ def test_q_stirling_and_q_bell_values():
         assert sum(q_bell(n)) == bell(n)
         for k in range(n + 2):
             assert sum(q_stirling(n, k)) == stirling(n, k)
+
+
+@lru_cache(maxsize=None)
+def q_stirling_recursive(n, k):
+    """Oracle for q_stirling: the recurrence read top-down, memoized."""
+    if n < 0 or k < 0:
+        return ()
+    if n == 0:
+        return (1,) if k == 0 else ()
+    shifted = qp_mul((0,) * (k - 1) + (1,), q_stirling_recursive(n - 1, k - 1)) if k else ()
+    return qp_add(shifted, qp_mul((1,) * k, q_stirling_recursive(n - 1, k)))
+
+
+def test_q_stirling_and_q_bell_match_the_recursion_to_12():
+    for n in range(13):
+        row = [q_stirling_recursive(n, k) for k in range(n + 2)]
+        assert [q_stirling(n, k) for k in range(n + 2)] == row
+        total = ()
+        for s in row:
+            total = qp_add(total, s)
+        assert q_bell(n) == total
+        assert [stirling(n, k) for k in range(n + 2)] == [sum(s) for s in row]
+        assert bell(n) == sum(total)
+
+
+def test_row_by_row_tables_reach_deep_rows():
+    # n = 1200 is deeper than the interpreter's recursion limit
+    s3 = (3**1200 - 3 * 2**1200 + 3) // 6  # S(n, 3) in closed form
+    q = q_stirling(1200, 3)
+    assert sum(q) == s3 == stirling(1200, 3)
+    assert len(q) - 1 == 3 + 2 * (1200 - 3)  # degree C(k, 2) + (n - k)(k - 1)
+    assert q[0] == 0 < q[3] and q[-1] == 1
+    # Touchard's congruence B(p + n) = B(n) + B(n + 1) mod a prime p
+    assert bell(1009) % 1009 == (bell(0) + bell(1)) % 1009
 
 
 def test_integer_stirling_and_bell():
@@ -75,8 +110,9 @@ def test_rook_enumeration():
 
 
 def test_rook_enumeration_is_every_non_attacking_subset():
-    # oracle: brute-force subsets of the staircase
-    for n in range(1, 6):
+    # oracle: brute-force subsets of the staircase; the placements skip the
+    # checks of the public constructor, which accepts every one of them
+    for n in range(1, 7):
         cells = sorted(stair(n).cells)
         brute = set()
         for k in range(len(cells) + 1):
@@ -88,6 +124,7 @@ def test_rook_enumeration_is_every_non_attacking_subset():
         rooks = enumerate_rook_n(n)
         assert len(rooks) == len(brute)
         assert {r.cells for r in rooks} == brute
+        assert all(type(r) is RookDiagram and RookDiagram(r.cells) == r for r in rooks)
 
 
 def test_gr_and_nw_examples():
