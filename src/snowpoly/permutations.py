@@ -30,14 +30,6 @@ def canonical(w: Iterable[int]) -> Permutation:
     return w
 
 
-def ambient(w: Iterable[int], n: int) -> Permutation:
-    """Extend with fixed points up to length n."""
-    w = canonical(w)
-    if n < len(w):
-        raise ValueError(f"permutation moves values beyond {n}")
-    return w + tuple(range(len(w) + 1, n + 1))
-
-
 def inverse(w: Iterable[int]) -> Permutation:
     w = tuple(w)
     out = [0] * len(w)
@@ -124,7 +116,10 @@ def rajcode(w: Iterable[int], n: int | None = None) -> tuple[int, ...]:
     w = canonical(w)
     if n is None:
         n = len(w)
-    code = [n - r - lis for r, lis in enumerate(lis_lengths(ambient(w, n)))]
+    elif n < len(w):
+        raise ValueError(f"permutation moves values beyond {n}")
+    padded = w + tuple(range(len(w) + 1, n + 1))
+    code = [n - r - lis for r, lis in enumerate(lis_lengths(padded))]
     while code and code[-1] == 0:
         code.pop()
     return tuple(code)

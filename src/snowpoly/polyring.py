@@ -10,11 +10,12 @@ grading of Grothendieck and Lascoux polynomials.
 
 No carry may ever cross a field. Every stored exponent is at most 127, so
 the top bit of each 8-bit field is a guard: naming a monomial with an
-exponent of 128 or more raises ValueError, and a product or a Demazure step
-whose result would reach 128 in any field raises OverflowError. Two guarded
-fields sum to less than 256, so a carry never reaches the next field before
-the guard sees it. 127 is above every exponent the recursions reach up to
-S_16: x-exponents stay below n, and the b-degree is at most C(n, 2) = 120.
+exponent of 128 or more raises ValueError, and a product, a Demazure step
+or an ascent product whose result would reach 128 in any field raises
+OverflowError. Two guarded fields sum to less than 256, so a carry never
+reaches the next field before the guard sees it. 127 is above every
+exponent the recursions reach up to S_16: x-exponents stay below n, and the
+b-degree is at most C(n, 2) = 120.
 
 `items`, `monomials`, `coefficient`, `Polynomial(mapping)` and `from_terms`
 speak in `Monomial(xexp, bexp)`, a view built on demand. Keys leave this
@@ -370,6 +371,32 @@ def demazure(f: Polynomial, i: int) -> Polynomial:
     return divided_difference(_of(raised), i)
 
 
+def ascent_product(f: Polynomial, i: int, raise_i: bool = False) -> Polynomial:
+    """(1 + b * x_{i+1}) * f, times x_i as well when raise_i: the product
+    that one ascent step of the Grothendieck (raise_i false) or Lascoux
+    (raise_i true) recursion hands to `divided_difference`.
+
+    Built on the keys: each term is copied under its key plus the x_i
+    increment (or zero), and added again under that key plus the increments
+    of x_{i+1} and b. Every field rises by at most one, so an exponent of
+    127 sets a guard bit and raises OverflowError, as the product would.
+    """
+    if i < 1:
+        raise ValueError("index must be positive")
+    up = 1 << (_WIDTH * i) if raise_i else 0
+    shift = up + (1 << (_WIDTH * (i + 1))) + 1
+    terms = {k + up: c for k, c in f._terms.items()}
+    get = terms.get
+    for key, coeff in f._terms.items():
+        key += shift
+        c = get(key, 0) + coeff
+        if c:
+            terms[key] = c
+        else:
+            del terms[key]
+    return _of(_guarded(terms, "ascent product"))
+
+
 def beta_component(f: Polynomial, d: int) -> Polynomial:
     """The x-polynomial coefficient of b^d in f; d must be nonnegative."""
     if d < 0:
@@ -385,12 +412,23 @@ def top_component(f: Polynomial) -> tuple[int, Polynomial]:
     return d, beta_component(f, d)
 
 
-def bottom_component(f: Polynomial) -> tuple[int, Polynomial]:
-    """The least d with a nonzero b^d layer, together with that layer."""
+def bottom_leading_term(f: Polynomial) -> tuple[int, Monomial, int]:
+    """The tail-lex leading term of the lowest b-layer of f, as (b-exponent,
+    monomial of that layer, coefficient), found in one pass over the keys."""
     if f.is_zero():
-        raise ValueError("bottom component of the zero polynomial is undefined")
-    d = min(k & _MASK for k in f._terms)
-    return d, beta_component(f, d)
+        raise ValueError("bottom layer of the zero polynomial is undefined")
+    keys = iter(f._terms)
+    best = next(keys)
+    d = best & _MASK
+    for key in keys:
+        b = key & _MASK
+        if b <= d:
+            # within one layer, integer order of keys is tail-lex order
+            if b < d:
+                d, best = b, key
+            elif key > best:
+                best = key
+    return d, _view(best - d), f._terms[best]
 
 
 def leading_monomial_taillex(f: Polynomial) -> tuple[Monomial, int]:

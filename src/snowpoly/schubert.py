@@ -1,11 +1,18 @@
 """Divided-difference recursions for Grothendieck and Lascoux polynomials,
 their top-degree components, and basis expansions of the spanned spaces.
 
-The Grothendieck and Lascoux recursions are memoized on canonical keys;
-cached values are immutable polynomials, so concurrent lookups can at worst
-recompute an identical value. The top layers are read off these
-polynomials; `verify.suite_top_las` checks that the snowy ones satisfy
-their own ascent recursion.
+Both recursions climb by one `_ascent_step` at a time from a monomial base
+case. The Lascoux recursion sorts alpha toward its decreasing sort, where
+L_alpha = x^alpha. The Grothendieck recursion sorts the inversion code the
+same way and stops at a dominant (132-avoiding) permutation, whose Rothe
+diagram is a Young diagram and whose G_w is x^code(w); s_{n-1} in S_n
+takes n - 2 steps, not C(n, 2) - 1 as a climb to the longest element would.
+
+The recursions are memoized on canonical keys; cached values are immutable
+polynomials, so concurrent lookups can at worst recompute an identical
+value. The top layers are read off these polynomials;
+`verify.suite_top_las` checks that the snowy ones satisfy their own ascent
+recursion.
 """
 
 from __future__ import annotations
@@ -25,11 +32,10 @@ from .permutations import Permutation, all_permutations, is_inverse_fireworks
 from .polyring import (
     Monomial,
     Polynomial,
+    ascent_product,
     beta_component,
-    bottom_component,
-    demazure,
+    bottom_leading_term,
     divided_difference,
-    leading_monomial_taillex,
     taillex_key,
     top_component,
 )
@@ -38,25 +44,23 @@ _EXPANSION_STEP_CAP = 200_000
 
 
 def grothendieck(w: Iterable[int]) -> Polynomial:
-    """The Grothendieck polynomial, by ascent recursion up to the longest
-    element of the minimal symmetric group containing w."""
+    """The Grothendieck polynomial, by ascent recursion up to the nearest
+    dominant permutation: at the first i with c_i < c_{i+1} in the inversion
+    code c of w, G_w is the divided difference at i of (1 + b x_{i+1}) G_{w s_i},
+    and G_w = x^c once c is weakly decreasing."""
     return _grothendieck(permutations.canonical(w))
 
 
 @lru_cache(maxsize=None)
 def _grothendieck(w: Permutation) -> Polynomial:
-    n = len(w)
-    if n == 0:
-        return Polynomial.one()
-    if all(w[k] > w[k + 1] for k in range(n - 1)):
-        return Polynomial.x_monomial(range(n - 1, 0, -1))
-    i = next(k + 1 for k in range(n - 1) if w[k] < w[k + 1])
+    code = permutations.invcode(w)
+    i = _first_ascent(code)
+    if i is None:
+        return Polynomial.x_monomial(code)
+    # c_i < c_{i+1} forces w_i < w_{i+1}, so w s_i is longer
     longer = list(w)
     longer[i - 1], longer[i] = longer[i], longer[i - 1]
-    f = (Polynomial.one() + Polynomial.beta() * Polynomial.x(i + 1)) * _grothendieck(
-        permutations.canonical(longer)
-    )
-    return divided_difference(f, i)
+    return _ascent_step(_grothendieck(permutations.canonical(longer)), i)
 
 
 def schubert_polynomial(w: Iterable[int]) -> Polynomial:
@@ -79,15 +83,22 @@ def _lascoux(alpha: Composition) -> Polynomial:
     ascent = _first_ascent(alpha)
     if ascent is None:
         return Polynomial.x_monomial(alpha)
-    f = (Polynomial.one() + Polynomial.beta() * Polynomial.x(ascent + 1)) * _lascoux(
-        s_action(alpha, ascent)
-    )
-    return demazure(f, ascent)
+    return _ascent_step(_lascoux(s_action(alpha, ascent)), ascent, lascoux=True)
 
 
-def _first_ascent(alpha: Composition) -> int | None:
-    for k in range(len(alpha) - 1):
-        if alpha[k] < alpha[k + 1]:
+def _ascent_step(f: Polynomial, i: int, lascoux: bool = False) -> Polynomial:
+    """One step of either recursion: the divided difference at i of
+    (1 + b x_{i+1}) f for Grothendieck, and the Demazure operator at i of it,
+    that is the divided difference of x_i (1 + b x_{i+1}) f, for Lascoux. The
+    product is built on packed keys; the divided difference is checked."""
+    return divided_difference(ascent_product(f, i, raise_i=lascoux), i)
+
+
+def _first_ascent(seq: tuple[int, ...]) -> int | None:
+    """The first i (1-based) with seq[i - 1] < seq[i], or None when seq is
+    weakly decreasing."""
+    for k in range(len(seq) - 1):
+        if seq[k] < seq[k + 1]:
             return k + 1
     return None
 
@@ -162,9 +173,7 @@ def expand_grothendieck_into_lascoux(
 def _select_pivot(remainder: Polynomial) -> tuple[int, Monomial, int]:
     """Pivot term: the tail-lex leading term of the lowest b-layer, as
     (b-exponent, monomial of that layer, coefficient)."""
-    d, layer = bottom_component(remainder)
-    mono, coeff = leading_monomial_taillex(layer)
-    return d, mono, coeff
+    return bottom_leading_term(remainder)
 
 
 def _eliminate(target: Polynomial, basis, name) -> dict[Composition, dict[int, int]]:

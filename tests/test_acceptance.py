@@ -213,9 +213,10 @@ def test_criterion_13_operator_algebra():
                 demazure(demazure(f, 2), 1), 2
             )
             cases += 1
-        from .test_schubert import groth_largest_ascent, lascoux_largest_ascent
+        from .test_schubert import groth_w0_route, lascoux_largest_ascent
 
+        memo = {}
         for w in all_permutations(4):
-            assert schubert.grothendieck(w) == groth_largest_ascent(w)
+            assert schubert.grothendieck(w) == groth_w0_route(w, memo, max)
         for alpha in enumerate_cn(4):
             assert schubert.lascoux(alpha) == lascoux_largest_ascent(alpha)

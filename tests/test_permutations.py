@@ -101,6 +101,12 @@ def test_rajcode_examples():
     assert raj(W, 7) == 14
     assert rajcode((1, 2, 3), 3) == ()
     assert rajcode((1, 4, 3, 2), 4) == (2, 2, 1)
+    # the fixed tail is trimmed before the ambient n is checked
+    assert rajcode((2, 1, 3), 2) == (1,)
+    with pytest.raises(ValueError, match="beyond 2"):
+        rajcode((3, 1, 2), 2)
+    with pytest.raises(ValueError, match="not a permutation"):
+        rajcode((1, 1, 2), 3)
 
 
 def test_rajcode_is_ambient_independent():

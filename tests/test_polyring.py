@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from snowpoly.polyring import (
     Monomial,
     Polynomial,
+    ascent_product,
     beta_component,
-    bottom_component,
+    bottom_leading_term,
     check_divided_difference,
     demazure,
     divided_difference,
@@ -165,6 +166,9 @@ OVERFLOWS = [
     lambda: B * Polynomial.term(1, (), 127),
     lambda: demazure(Polynomial.x_monomial((127,)), 1),
     lambda: _x200(64) * _x200(64),
+    lambda: ascent_product(Polynomial.x_monomial((0, 127)), 1),
+    lambda: ascent_product(Polynomial.term(1, (), 127), 1),
+    lambda: ascent_product(Polynomial.x_monomial((127,)), 1, True),
 ]
 
 
@@ -260,6 +264,9 @@ def test_operators_match_naive_references(triples, i):
     assert swap_action(f, i) == naive_swap(f, i)
     assert divided_difference(f, i) == naive_divided_difference(f, i)
     assert demazure(f, i) == naive_demazure(f, i)
+    factor = ONE + B * Polynomial.x(i + 1)
+    assert ascent_product(f, i) == naive_product(factor, f)
+    assert ascent_product(f, i, True) == naive_product(Polynomial.x(i) * factor, f)
 
 
 # -- divided difference ---------------------------------------------------------
@@ -410,16 +417,26 @@ def test_top_component_examples():
         top_component(Polynomial.zero())
 
 
-def test_bottom_component_examples():
+def test_bottom_leading_term_examples():
     groth_1324 = X1 + X2 + poly_of((1, (1, 1), 1))
-    assert bottom_component(groth_1324) == (0, X1 + X2)
-    mixed = poly_of((2, (1,), 1), (-1, (0, 3), 1), (4, (1, 1), 2), (1, (), 3))
-    assert bottom_component(mixed) == (1, poly_of((2, (1,), 0), (-1, (0, 3), 0)))
-    assert bottom_component(B * B) == (2, ONE)
+    assert bottom_leading_term(groth_1324) == (0, Monomial((0, 1), 0), 1)
+    mixed = poly_of((4, (1, 1), 2), (2, (1,), 1), (-1, (0, 3), 1), (1, (), 3))
+    assert bottom_leading_term(mixed) == (1, Monomial((0, 3), 0), -1)
+    assert bottom_leading_term(B * B) == (2, Monomial((), 0), 1)
     mono = poly_of((1, (3, 2, 1), 0))
-    assert bottom_component(mono) == top_component(mono) == (0, mono)
+    assert bottom_leading_term(mono) == (0, Monomial((3, 2, 1), 0), 1)
     with pytest.raises(ValueError):
-        bottom_component(Polynomial.zero())
+        bottom_leading_term(Polynomial.zero())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TRIPLES)
+def test_bottom_leading_term_matches_layer_copy(triples):
+    # oracle: copy out the lowest b-layer, then take its tail-lex leading term
+    f = Polynomial.from_terms((c, tuple(x), b) for c, x, b in triples)
+    if f:
+        d = min(m.bexp for m in f.monomials())
+        assert bottom_leading_term(f) == (d, *leading_monomial_taillex(beta_component(f, d)))
 
 
 def test_top_component_of_lascoux_021():

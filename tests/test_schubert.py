@@ -41,22 +41,29 @@ def poly_of(*triples):
     return Polynomial.from_terms(triples)
 
 
-# -- independent recursion oracles (largest ascent instead of smallest) --------
+# -- independent recursion oracles ----------------------------------------------
 
 
-def groth_largest_ascent(w):
+def groth_w0_route(w, memo, pick=min):
+    """Oracle: the recursion before the dominant stop. It climbs at an ascent
+    of w (the first, or the one `pick` chooses) all the way to the longest
+    element of S_len(w), where G = x^(n-1, ..., 1), with the general
+    product; memoized in the caller's dict."""
     w = canonical(w)
-    n = len(w)
-    if n == 0:
-        return ONE
-    if all(w[k] > w[k + 1] for k in range(n - 1)):
-        return Polynomial.x_monomial(range(n - 1, 0, -1))
-    i = max(k + 1 for k in range(n - 1) if w[k] < w[k + 1])
-    longer = list(w)
-    longer[i - 1], longer[i] = longer[i], longer[i - 1]
-    return divided_difference(
-        (ONE + B * Polynomial.x(i + 1)) * groth_largest_ascent(longer), i
-    )
+    if w not in memo:
+        n = len(w)
+        ascents = [k + 1 for k in range(n - 1) if w[k] < w[k + 1]]
+        if n == 0:
+            memo[w] = ONE
+        elif not ascents:
+            memo[w] = Polynomial.x_monomial(range(n - 1, 0, -1))
+        else:
+            i = pick(ascents)
+            longer = list(w)
+            longer[i - 1], longer[i] = longer[i], longer[i - 1]
+            f = (ONE + B * Polynomial.x(i + 1)) * groth_w0_route(longer, memo, pick)
+            memo[w] = divided_difference(f, i)
+    return memo[w]
 
 
 def lascoux_largest_ascent(alpha):
@@ -88,6 +95,36 @@ def test_grothendieck_examples():
         (1, (2, 0, 1), 1),
         (1, (2, 1, 1), 2),
     )
+
+
+def test_grothendieck_matches_the_w0_route_over_s6():
+    memo = {}
+    for w in all_permutations(6):
+        assert grothendieck(w) == groth_w0_route(w, memo), w
+
+
+def test_grothendieck_of_simple_transpositions_closed_form():
+    # G(s_k) = (prod_{i<=k} (1 + b x_i) - 1) / b: b^(|S|-1) x^S for each nonempty S
+    for k in range(1, 13):
+        s_k = tuple(range(1, k)) + (k + 1, k)
+        expected = Polynomial.from_terms(
+            (1, tuple((m >> j) & 1 for j in range(k)), m.bit_count() - 1)
+            for m in range(1, 1 << k)
+        )
+        g = grothendieck(s_k)
+        assert len(g) == 2**k - 1
+        assert g == expected
+
+
+def test_dominant_permutations_are_monomials():
+    # 132-avoiding permutations have a Young diagram as Rothe diagram
+    dominant = [
+        w for w in all_permutations(7)
+        if not any(w[i] < w[k] < w[j] for i, j, k in combinations(range(7), 3))
+    ]
+    assert len(dominant) == 429  # Catalan(7)
+    for w in dominant:
+        assert grothendieck(w) == Polynomial.x_monomial(permutations.invcode(w))
 
 
 def test_lascoux_examples():
@@ -135,8 +172,9 @@ def test_top_las_suite_catches_a_wrong_snowy_top_layer(monkeypatch, alpha):
 
 
 def test_ascent_choice_independence():
+    memo = {}
     for w in all_permutations(4):
-        assert grothendieck(w) == groth_largest_ascent(w)
+        assert grothendieck(w) == groth_w0_route(w, memo, max)
     for alpha in enumerate_cn(4):
         assert lascoux(alpha) == lascoux_largest_ascent(alpha)
 
