@@ -202,29 +202,26 @@ def _cmd_kkd(args) -> int:
     ordered = sorted(
         enumerate_kkd(alpha), key=lambda g: (g.excess, sorted(g.cells), sorted(g.ghosts))
     )
-    if args.json:
-        doc = {
-            "kind": "diagram",
-            "count": len(ordered),
-            "diagrams": [
-                {
-                    "cells": [list(c) for c in sorted(g.cells)],
-                    "ghosts": [list(c) for c in sorted(g.ghosts)],
-                    "weight": list(g.weight()),
-                    "excess": g.excess,
-                }
-                for g in ordered
-            ],
-        }
-        print(json.dumps(doc, indent=2))
-        return 0
     lines = []
     for g in ordered:
         cells = " ".join(
             f"{r},{c}" + ("X" if (r, c) in g.ghosts else "") for r, c in sorted(g.cells)
         )
         lines.append(f"excess={g.excess} wt={render_composition(g.weight())} cells: {cells}")
-    print("\n".join(lines))
+    doc = {
+        "kind": "diagram",
+        "count": len(ordered),
+        "diagrams": [
+            {
+                "cells": [list(c) for c in sorted(g.cells)],
+                "ghosts": [list(c) for c in sorted(g.ghosts)],
+                "weight": list(g.weight()),
+                "excess": g.excess,
+            }
+            for g in ordered
+        ],
+    }
+    _emit(args, "\n".join(lines), doc)
     return 0
 
 

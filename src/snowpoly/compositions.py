@@ -30,10 +30,6 @@ def canonical(alpha: Iterable[int]) -> Composition:
     return alpha
 
 
-def size(alpha: Iterable[int]) -> int:
-    return sum(alpha)
-
-
 def is_snowy(alpha: Iterable[int]) -> bool:
     """True when the positive entries are pairwise distinct."""
     positives = [a for a in alpha if a > 0]
@@ -140,19 +136,17 @@ def snowy_from_rajcode(mu: Iterable[int]) -> Composition:
     """
     mu = canonical(mu)
     alpha = [0] * len(mu)
-    taken: list[int] = []  # sorted dark columns strictly below the current row
+    taken = 0  # bit c set: column c is dark strictly below the current row
     for r in range(len(mu), 0, -1):
-        k = mu[r - 1] - len(taken)
+        k = mu[r - 1] - taken.bit_count()
         if k < 0:
             raise ValueError(f"{mu} is not a rajcode")
         if k > 0:
             col = 0
-            free_seen = 0
-            while free_seen < k:
+            while k:
                 col += 1
-                if col not in taken:
-                    free_seen += 1
+                if not taken >> col & 1:
+                    k -= 1
             alpha[r - 1] = col
-            taken.append(col)
-            taken.sort()
+            taken |= 1 << col
     return canonical(alpha)

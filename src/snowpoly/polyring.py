@@ -47,9 +47,10 @@ def taillex_key(xexp: tuple[int, ...]):
     return (len(xexp), tuple(reversed(xexp)))
 
 
-def _key(xexp: Iterable[int] = (), bexp: int = 0) -> int:
-    """The packed key of x^xexp * b^bexp; raises ValueError for an exponent
-    that is negative or does not fit below the guard bit."""
+def packed_key(xexp: Iterable[int] = (), bexp: int = 0) -> int:
+    """The packed key of x^xexp * b^bexp. The key of a single variable is
+    its increment: adding it to a key raises that exponent by one. Raises
+    ValueError for an exponent that is negative or 128 or more."""
     key = 0
     for e in reversed((bexp, *xexp)):
         if not 0 <= e < _LIMIT:
@@ -58,13 +59,6 @@ def _key(xexp: Iterable[int] = (), bexp: int = 0) -> int:
             raise ValueError(f"exponent {e} exceeds the largest supported exponent {_LIMIT - 1}")
         key = (key << _WIDTH) | e
     return key
-
-
-def packed_key(xexp: Iterable[int] = (), bexp: int = 0) -> int:
-    """The packed key of x^xexp * b^bexp. The key of a single variable is
-    its increment: adding it to a key raises that exponent by one. Raises
-    ValueError for an exponent that is negative or 128 or more."""
-    return _key(xexp, bexp)
 
 
 def tally(keys: Iterable[int]) -> "Polynomial":
@@ -103,7 +97,7 @@ class Monomial(NamedTuple):
 
     @classmethod
     def make(cls, xexp: Iterable[int] = (), bexp: int = 0) -> "Monomial":
-        return _view(_key(xexp, bexp))
+        return _view(packed_key(xexp, bexp))
 
     def x_degree(self) -> int:
         return sum(self.xexp)
@@ -137,7 +131,7 @@ class Polynomial:
         clean: dict[int, int] = {}
         if terms:
             for mono, coeff in terms.items() if hasattr(terms, "items") else terms:
-                key = _key(*mono)
+                key = packed_key(*mono)
                 if coeff:
                     c = clean.get(key, 0) + coeff
                     if c:
@@ -155,10 +149,6 @@ class Polynomial:
     @classmethod
     def one(cls) -> "Polynomial":
         return _of({0: 1})
-
-    @classmethod
-    def integer(cls, c: int) -> "Polynomial":
-        return _of({0: c} if c else {})
 
     @classmethod
     def x(cls, i: int) -> "Polynomial":
@@ -193,7 +183,7 @@ class Polynomial:
         return map(_view, self._terms)
 
     def coefficient(self, xexp: Iterable[int] = (), bexp: int = 0) -> int:
-        return self._terms.get(_key(xexp, bexp), 0)
+        return self._terms.get(packed_key(xexp, bexp), 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -251,15 +241,7 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        terms = dict(self._terms)
-        get = terms.get
-        for key, coeff in other._terms.items():
-            c = get(key, 0) - coeff
-            if c:
-                terms[key] = c
-            else:
-                del terms[key]
-        return _of(terms)
+        return self + -other
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, int):

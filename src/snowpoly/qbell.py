@@ -52,11 +52,6 @@ def qp_rev(p: QPolynomial) -> QPolynomial:
     return qp_trim(reversed(p))
 
 
-def q_int(n: int) -> QPolynomial:
-    """The q-integer 1 + q + ... + q^(n-1)."""
-    return (1,) * n
-
-
 def _q_stirling_row(n: int, k: int) -> list[QPolynomial]:
     """q_stirling(n, j) for j = 0..k, built row by row from row 0 by
     S(m, j) = q^(j-1) S(m-1, j-1) + [j]_q S(m-1, j), on coefficient lists.

@@ -1,16 +1,20 @@
 """Divided-difference recursions for Grothendieck and Lascoux polynomials,
 their top-degree components, and basis expansions of the spanned spaces.
 
-Both recursions climb by one `_ascent_step` at a time from a monomial base
-case. The Lascoux recursion sorts alpha toward its decreasing sort, where
-L_alpha = x^alpha. The Grothendieck recursion sorts the inversion code the
-same way and stops at a dominant (132-avoiding) permutation, whose Rothe
-diagram is a Young diagram and whose G_w is x^code(w); s_{n-1} in S_n
-takes n - 2 steps, not C(n, 2) - 1 as a climb to the longest element would.
+Both recursions walk the box C_n of weak compositions: the Lascoux
+recursion on alpha itself, the Grothendieck recursion on the inversion code
+c of w, and the codes of S_n are exactly C_n. At the first ascent i of the
+composition (its i-th entry below the next) one `_ascent_step` climbs from a
+parent: s_i alpha for L_alpha, and s_i c raised by one at entry i, the code
+of w s_i, for G_w. C_n is closed under both parent rules. The base case is
+x^alpha at a weakly decreasing composition: a partition for L_alpha, and
+for G_w a dominant (132-avoiding) permutation, whose Rothe diagram is a
+Young diagram. s_{n-1} in S_n takes n - 2 steps, not C(n, 2) - 1 as a climb
+to the longest element would.
 
-The recursions are memoized on canonical keys; cached values are immutable
-polynomials, so concurrent lookups can at worst recompute an identical
-value. The top layers are read off these polynomials;
+Both recursions are memoized on trimmed compositions; cached values are
+immutable polynomials, so concurrent lookups can at worst recompute an
+identical value. The top layers are read off these polynomials;
 `verify.suite_top_las` checks that the snowy ones satisfy their own ascent
 recursion.
 """
@@ -44,23 +48,23 @@ _EXPANSION_STEP_CAP = 200_000
 
 
 def grothendieck(w: Iterable[int]) -> Polynomial:
-    """The Grothendieck polynomial, by ascent recursion up to the nearest
-    dominant permutation: at the first i with c_i < c_{i+1} in the inversion
-    code c of w, G_w is the divided difference at i of (1 + b x_{i+1}) G_{w s_i},
-    and G_w = x^c once c is weakly decreasing."""
-    return _grothendieck(permutations.canonical(w))
+    """The Grothendieck polynomial, by ascent recursion on the inversion code
+    c of w: at the first i with c_i < c_{i+1}, G_w is the divided difference
+    at i of (1 + b x_{i+1}) G_{w s_i}, where w s_i has code s_i c raised by
+    one at entry i, and G_w = x^c once c is weakly decreasing. The memo is
+    keyed by codes; the codes of S_n are the box C_n, which holds every
+    parent code."""
+    return _grothendieck(permutations.invcode(permutations.canonical(w)))
 
 
 @lru_cache(maxsize=None)
-def _grothendieck(w: Permutation) -> Polynomial:
-    code = permutations.invcode(w)
+def _grothendieck(code: Composition) -> Polynomial:
     i = _first_ascent(code)
     if i is None:
         return Polynomial.x_monomial(code)
-    # c_i < c_{i+1} forces w_i < w_{i+1}, so w s_i is longer
-    longer = list(w)
-    longer[i - 1], longer[i] = longer[i], longer[i - 1]
-    return _ascent_step(_grothendieck(permutations.canonical(longer)), i)
+    parent = list(s_action(code, i))
+    parent[i - 1] += 1
+    return _ascent_step(_grothendieck(tuple(parent)), i)
 
 
 def schubert_polynomial(w: Iterable[int]) -> Polynomial:
@@ -206,7 +210,7 @@ def _eliminate(target: Polynomial, basis, name) -> dict[Composition, dict[int, i
         last = order
         alpha, element = basis(mono.xexp)
         coeffs.setdefault(alpha, {})[d] = coeff
-        remainder = remainder - Polynomial.term(coeff, (), d) * element
+        remainder = remainder + Polynomial.term(-coeff, (), d) * element
     return coeffs
 
 

@@ -59,11 +59,45 @@ def test_kkd_count_and_dump(capsys, monkeypatch):
         m.setattr(PackedClosure, "diagrams", None)
         _, out, _ = run_cli(capsys, "kkd", "0,2,1", "--count")
     assert out.strip() == "11"
+    _, out, _ = run_cli(capsys, "kkd", "0,2,1", "--count", "--json")
+    assert json.loads(out) == {"kind": "report", "count": 11}
     _, out, _ = run_cli(capsys, "kkd", "0,2,1")
-    assert len(out.strip().splitlines()) == 11
+    assert out == KKD_021
     _, out, _ = run_cli(capsys, "kkd", "0,2,1", "--json")
-    doc = json.loads(out)
-    assert doc["count"] == 11
+    diagrams = [
+        {"cells": cells, "ghosts": ghosts, "weight": weight, "excess": excess}
+        for cells, ghosts, weight, excess in KKD_021_DIAGRAMS
+    ]
+    assert out == json.dumps({"kind": "diagram", "count": 11, "diagrams": diagrams}, indent=2) + "\n"
+
+
+KKD_021 = """\
+excess=0 wt=(2,1) cells: 1,1 1,2 2,1
+excess=0 wt=(2,0,1) cells: 1,1 1,2 3,1
+excess=0 wt=(1,2) cells: 1,1 2,1 2,2
+excess=0 wt=(1,1,1) cells: 1,2 2,1 3,1
+excess=0 wt=(0,2,1) cells: 2,1 2,2 3,1
+excess=1 wt=(2,2) cells: 1,1 1,2 2,1 2,2X
+excess=1 wt=(2,1,1) cells: 1,1 1,2 2,1X 3,1
+excess=1 wt=(2,1,1) cells: 1,1 1,2 2,1 3,1X
+excess=1 wt=(1,2,1) cells: 1,1 2,1 2,2 3,1X
+excess=1 wt=(1,2,1) cells: 1,2 2,1 2,2X 3,1
+excess=2 wt=(2,2,1) cells: 1,1 1,2 2,1 2,2X 3,1X
+"""
+
+KKD_021_DIAGRAMS = [  # (cells, ghosts, weight, excess), as `kkd 0,2,1 --json` lists them
+    ([[1, 1], [1, 2], [2, 1]], [], [2, 1], 0),
+    ([[1, 1], [1, 2], [3, 1]], [], [2, 0, 1], 0),
+    ([[1, 1], [2, 1], [2, 2]], [], [1, 2], 0),
+    ([[1, 2], [2, 1], [3, 1]], [], [1, 1, 1], 0),
+    ([[2, 1], [2, 2], [3, 1]], [], [0, 2, 1], 0),
+    ([[1, 1], [1, 2], [2, 1], [2, 2]], [[2, 2]], [2, 2], 1),
+    ([[1, 1], [1, 2], [2, 1], [3, 1]], [[2, 1]], [2, 1, 1], 1),
+    ([[1, 1], [1, 2], [2, 1], [3, 1]], [[3, 1]], [2, 1, 1], 1),
+    ([[1, 1], [2, 1], [2, 2], [3, 1]], [[3, 1]], [1, 2, 1], 1),
+    ([[1, 2], [2, 1], [2, 2], [3, 1]], [[2, 2]], [1, 2, 1], 1),
+    ([[1, 1], [1, 2], [2, 1], [2, 2], [3, 1]], [[2, 2], [3, 1]], [2, 2, 1], 2),
+]
 
 
 def test_shadow_golden(capsys):

@@ -20,6 +20,7 @@ from snowpoly.polyring import (
     demazure,
     divided_difference,
     leading_monomial_taillex,
+    packed_key,
     swap_action,
     taillex_key,
     top_component,
@@ -64,6 +65,8 @@ def test_canonical_form_trims_and_drops_zeros():
 def test_monomial_rejects_negative_exponents():
     with pytest.raises(ValueError):
         Monomial.make((-1,))
+    with pytest.raises(ValueError):
+        packed_key(bexp=-1)
 
 
 def _random_triples(rng, nvars=4, max_exp=3, terms=6):
@@ -149,6 +152,7 @@ def test_exponent_128_is_rejected():
     for build in (
         lambda: Polynomial.x_monomial((128,)),
         lambda: Monomial.make((0, 128)),
+        lambda: packed_key((0, 128)),
         lambda: Polynomial.term(1, (), 128),
         lambda: X1.coefficient((128,)),
         lambda: Polynomial({Monomial((0,) * 150 + (128,), 0): 1}),

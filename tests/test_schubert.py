@@ -103,6 +103,26 @@ def test_grothendieck_matches_the_w0_route_over_s6():
         assert grothendieck(w) == groth_w0_route(w, memo), w
 
 
+def test_parent_code_is_s_i_code_raised_at_i_over_s7():
+    # the recursion steps on codes alone: at the first ascent i of the code c
+    # of w, the code of w s_i is s_i c with entry i raised by one
+    steps = 0
+    for n in range(1, 8):
+        for w in all_permutations(n):
+            c = permutations.invcode(w)
+            i = next((k + 1 for k in range(len(c) - 1) if c[k] < c[k + 1]), None)
+            if i is None:
+                continue
+            longer = list(w)
+            longer[i - 1], longer[i] = longer[i], longer[i - 1]
+            raised = list(s_action(c, i))
+            raised[i - 1] += 1
+            assert permutations.invcode(longer) == tuple(raised), w
+            steps += 1
+    # every w in S_1..S_7 but the dominant ones, counted by Catalan(1..7)
+    assert steps == 5913 - (1 + 2 + 5 + 14 + 42 + 132 + 429)
+
+
 def test_grothendieck_of_simple_transpositions_closed_form():
     # G(s_k) = (prod_{i<=k} (1 + b x_i) - 1) / b: b^(|S|-1) x^S for each nonempty S
     for k in range(1, 13):
