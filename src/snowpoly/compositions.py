@@ -22,8 +22,8 @@ def canonical(alpha: Iterable[int]) -> Composition:
     >>> canonical([0, 2, 1, 0])
     (0, 2, 1)
     """
-    alpha = tuple(int(a) for a in alpha)
-    if any(a < 0 for a in alpha):
+    alpha = tuple(map(int, alpha))
+    if alpha and min(alpha) < 0:
         raise ValueError("weak composition entries must be nonnegative")
     while alpha and alpha[-1] == 0:
         alpha = alpha[:-1]

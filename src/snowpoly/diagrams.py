@@ -5,11 +5,13 @@ top and column 1 on the left. The snow construction decorates a diagram
 with dark clouds and snowflakes; its row weights define rajcode and raj.
 
 The snow construction runs on row masks: entry r - 1 of a list of ints is
-row r, with one bit per column. A general diagram ranks its occupied
-columns, so bit i stands for the (i + 1)-th smallest of them and the mask
-width is the number of distinct columns, whatever their values; the key
-diagram of alpha has column c at bit c - 1, so row r is (1 << alpha_r) - 1
-and no cell set is built for it.
+row r, with one bit per column. A diagram reads its masks once, through
+Diagram._row_masks. A Rothe diagram carries them from its construction,
+with column c at bit c - 1 for c = 1..len(w). Any other diagram ranks its
+occupied columns on first use, so bit i stands for the (i + 1)-th smallest
+of them and the mask width is the number of distinct columns, whatever
+their values. The key diagram of alpha has column c at bit c - 1, so row r
+is (1 << alpha_r) - 1 and no cell set is built for it.
 
 The public Diagram and RookDiagram constructors check every cell. The
 diagrams the library builds itself (rothe_diagram, key_diagram, dark and
@@ -19,8 +21,8 @@ that second check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Sequence
 
 from . import permutations
 
@@ -45,22 +47,40 @@ def _row_weight(cells: Iterable[Cell]) -> tuple[int, ...]:
     return tuple(counts.get(r, 0) for r in range(1, top + 1))
 
 
+# Row masks of a diagram and the column that each bit stands for.
+Masks = tuple[list[int], Sequence[int]]
+
+
 @dataclass(frozen=True)
 class Diagram:
-    """An immutable finite set of cells."""
+    """An immutable finite set of cells. Equality and hashing see only the
+    cells, not how the row masks were obtained."""
 
     cells: frozenset[Cell]
+    _masks: Masks | None = field(default=None, compare=False, repr=False)
 
     def __init__(self, cells: Iterable[Cell] = ()):
         object.__setattr__(self, "cells", _check_cells(cells))
 
     @classmethod
-    def _trusted(cls, cells: frozenset[Cell]):
+    def _trusted(cls, cells: frozenset[Cell], masks: Masks | None = None):
         """A diagram of cells the library built itself, without the checks
-        of the public constructor."""
+        of the public constructor, with its row masks when the builder
+        already has them."""
         d = object.__new__(cls)
         object.__setattr__(d, "cells", cells)
+        if masks is not None:
+            object.__setattr__(d, "_masks", masks)
         return d
+
+    def _row_masks(self) -> Masks:
+        """The row masks, with the column of each bit; ranked once when
+        the diagram was not built with them."""
+        masks = self._masks
+        if masks is None:
+            masks = _ranked_masks(self.cells)
+            object.__setattr__(self, "_masks", masks)
+        return masks
 
     def __iter__(self) -> Iterator[Cell]:
         return iter(sorted(self.cells))
@@ -145,11 +165,26 @@ def stair(n: int) -> Diagram:
 
 def rothe_diagram(w: Iterable[int]) -> Diagram:
     """Cells (r, w(r')) over the inversions r < r', w(r) > w(r'). Raises
-    ValueError when w is not a permutation in one-line notation."""
+    ValueError when w is not a permutation in one-line notation.
+
+    Row r is the mask of the values after position r that are smaller than
+    w(r), over columns 1..len(w); one right-to-left pass over w reads off
+    each mask and the cells of its set bits."""
     w = permutations.canonical(w)
-    return Diagram._trusted(
-        frozenset((r, v) for r, u in enumerate(w, 1) for v in w[r:] if v < u)
-    )
+    rows = [0] * len(w)
+    cells = []
+    later = 0
+    for r in range(len(w) - 1, -1, -1):
+        below = (1 << (w[r] - 1)) - 1
+        rows[r] = row = later & below
+        later |= below + 1
+        while row:
+            low = row & -row
+            cells.append((r + 1, low.bit_length()))
+            row ^= low
+    while rows and not rows[-1]:
+        rows.pop()
+    return Diagram._trusted(frozenset(cells), (rows, range(1, len(w) + 1)))
 
 
 def _snow_rows(rows: list[int]) -> tuple[list[int], list[int]]:
@@ -181,7 +216,7 @@ def _key_snow(alpha: tuple[int, ...]) -> tuple[list[int], list[int]]:
     return _snow_rows([(1 << a) - 1 for a in alpha])
 
 
-def _row_masks(cells: frozenset[Cell]) -> tuple[list[int], list[int]]:
+def _ranked_masks(cells: frozenset[Cell]) -> Masks:
     """The row masks of a diagram over its ranked columns, and the columns
     in rank order."""
     cols = sorted({c for _, c in cells})
@@ -192,14 +227,14 @@ def _row_masks(cells: frozenset[Cell]) -> tuple[list[int], list[int]]:
     return rows, cols
 
 
-def _dark_cells(darks: list[int], cols: list[int]) -> frozenset[Cell]:
+def _dark_cells(darks: list[int], cols: Sequence[int]) -> frozenset[Cell]:
     return frozenset((r, cols[d - 1]) for r, d in enumerate(darks, 1) if d)
 
 
 def snow(diagram: Diagram) -> SnowDiagram:
     """The snow diagram of a diagram: each dark cloud fills the empty
     positions above it in its column with snowflakes."""
-    rows, cols = _row_masks(diagram.cells)
+    rows, cols = diagram._row_masks()
     darks, _ = _snow_rows(rows)
     flakes = [
         (rp, cols[d - 1])
@@ -213,14 +248,14 @@ def snow(diagram: Diagram) -> SnowDiagram:
 
 def dark(diagram: Diagram) -> RookDiagram:
     """The dark-cloud positions of the snow diagram."""
-    rows, cols = _row_masks(diagram.cells)
+    rows, cols = diagram._row_masks()
     darks, _ = _snow_rows(rows)
     return RookDiagram._trusted(_dark_cells(darks, cols))
 
 
 def rajcode(diagram: Diagram) -> tuple[int, ...]:
     """Row weights of the snow diagram."""
-    return tuple(_snow_rows(_row_masks(diagram.cells)[0])[1])
+    return tuple(_snow_rows(diagram._row_masks()[0])[1])
 
 
 def raj(diagram: Diagram) -> int:

@@ -9,11 +9,21 @@ letter to its first.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import permutations as _iter_permutations
 from typing import Iterable, Iterator, NamedTuple
 
 Permutation = tuple[int, ...]
+
+
+def _one_line(w: Iterable[int]) -> Permutation:
+    """The tuple of w, untrimmed. Raises ValueError unless w is a
+    permutation of 1..len(w)."""
+    w = tuple(map(int, w))
+    if sorted(w) != list(range(1, len(w) + 1)):
+        raise ValueError(f"{w} is not a permutation of 1..{len(w)}")
+    return w
 
 
 def canonical(w: Iterable[int]) -> Permutation:
@@ -22,16 +32,16 @@ def canonical(w: Iterable[int]) -> Permutation:
     >>> canonical((2, 1, 3, 4))
     (2, 1)
     """
-    w = tuple(int(v) for v in w)
-    if sorted(w) != list(range(1, len(w) + 1)):
-        raise ValueError(f"{w} is not a permutation of 1..{len(w)}")
+    w = _one_line(w)
     while w and w[-1] == len(w):
         w = w[:-1]
     return w
 
 
 def inverse(w: Iterable[int]) -> Permutation:
-    w = tuple(w)
+    """The inverse in one-line notation of the same length as w. Raises
+    ValueError when w is not a permutation."""
+    w = _one_line(w)
     out = [0] * len(w)
     for i, v in enumerate(w):
         out[v - 1] = i + 1
@@ -93,13 +103,28 @@ def inv(w: Iterable[int]) -> int:
 
 def lis_lengths(w: Iterable[int]) -> list[int]:
     """Entry k is the length of the longest increasing subsequence starting
-    at position k + 1, for every position in one right-to-left pass."""
+    at position k + 1, for every position in one right-to-left pass.
+
+    The pass is patience sorting: neg[k] is minus the largest value that
+    starts an increasing subsequence of length k + 1 in the suffix seen so
+    far, so neg increases and one bisection finds each length. Only the
+    order of the values matters, never their size.
+
+    >>> lis_lengths((3, 7, 2, 1, 5, 6, 4))
+    [3, 1, 3, 3, 2, 1, 1]
+    """
     w = tuple(w)
-    best = [1] * len(w)
-    for i in range(len(w) - 2, -1, -1):
-        wi = w[i]
-        best[i] = 1 + max((best[j] for j in range(i + 1, len(w)) if w[j] > wi), default=0)
-    return best
+    neg: list[int] = []
+    lengths = [0] * len(w)
+    for i in range(len(w) - 1, -1, -1):
+        x = -w[i]
+        k = bisect_left(neg, x)
+        if k == len(neg):
+            neg.append(x)
+        else:
+            neg[k] = x
+        lengths[i] = k + 1
+    return lengths
 
 
 def lis_from(w: Iterable[int], q: int) -> int:
@@ -112,14 +137,16 @@ def lis_from(w: Iterable[int], q: int) -> int:
 
 def rajcode(w: Iterable[int], n: int | None = None) -> tuple[int, ...]:
     """Entry r is n + 1 - r minus the longest increasing subsequence length
-    starting at w(r). The trimmed result does not depend on the ambient n."""
+    starting at w(r), for w padded with its fixed points up to n.
+
+    The padded values exceed every value of w and follow it, so each adds
+    one to every such length and the padding cancels: entry r is
+    len(w) + 1 - r minus the length in w itself, and zero past w. The
+    trimmed result does not depend on the ambient n."""
     w = canonical(w)
-    if n is None:
-        n = len(w)
-    elif n < len(w):
+    if n is not None and n < len(w):
         raise ValueError(f"permutation moves values beyond {n}")
-    padded = w + tuple(range(len(w) + 1, n + 1))
-    code = [n - r - lis for r, lis in enumerate(lis_lengths(padded))]
+    code = [len(w) - r - lis for r, lis in enumerate(lis_lengths(w))]
     while code and code[-1] == 0:
         code.pop()
     return tuple(code)
@@ -191,8 +218,10 @@ def schensted(w: Iterable[int]) -> tuple[tuple[tuple[int, ...], ...], tuple[RowO
                     row_one_event = RowOneEvent(position, x, "append", None, 1)
                 break
             row = rows[depth]
-            hit = next((k for k, v in enumerate(row) if v < x), None)
-            if hit is None:
+            for hit, v in enumerate(row):
+                if v < x:
+                    break
+            else:
                 row.append(x)
                 if depth == 0:
                     row_one_event = RowOneEvent(position, x, "append", None, len(row))
@@ -221,10 +250,6 @@ class ShadowLine:
 
     points: tuple[tuple[int, int], ...]
 
-    def turning_points(self) -> tuple[tuple[int, int], ...]:
-        pts = self.points
-        return tuple((pts[k + 1][0], pts[k][1]) for k in range(len(pts) - 1))
-
 
 def shadow_lines(w: Iterable[int]) -> tuple[ShadowLine, ...]:
     """Shadow lines of the permutation, light shed from the southeast.
@@ -246,7 +271,24 @@ def shadow_lines(w: Iterable[int]) -> tuple[ShadowLine, ...]:
 
 
 def turning_points(w: Iterable[int]) -> frozenset[tuple[int, int]]:
-    """Turning points of all shadow lines."""
-    return frozenset(
-        p for line in shadow_lines(w) for p in line.turning_points()
-    )
+    """Turning points of all shadow lines: (i, w(j)) for each two points
+    (j, w(j)) and (i, w(i)) that follow each other on one line, j > i.
+
+    Line k holds the positions whose longest increasing subsequence has
+    length k, so one right-to-left pass over those lengths, keeping the
+    last position seen on each line, finds every pair.
+
+    >>> sorted(turning_points((3, 7, 2, 1, 5, 6, 4)))
+    [(1, 2), (2, 6), (3, 1), (6, 4)]
+    """
+    w = tuple(w)
+    lis = lis_lengths(w)
+    last = [0] * (len(w) + 1)
+    points = []
+    for i in range(len(w), 0, -1):
+        k = lis[i - 1]
+        j = last[k]
+        if j:
+            points.append((i, w[j - 1]))
+        last[k] = i
+    return frozenset(points)

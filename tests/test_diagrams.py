@@ -137,6 +137,19 @@ def test_library_built_diagrams_equal_checked_ones():
         assert type(rooks) is RookDiagram and rooks == RookDiagram(rooks.cells)
 
 
+def test_rothe_carried_masks_agree_with_ranked_ones():
+    # a Rothe diagram carries its row masks over columns 1..n; the same
+    # cells through the public constructor rank their columns instead
+    for n in range(8):
+        for w in permutations(range(1, n + 1)):
+            carried = rothe_diagram(w)
+            ranked = Diagram(carried.cells)
+            assert carried == ranked and hash(carried) == hash(ranked)
+            assert rajcode(carried) == rajcode(ranked)
+            assert dark(carried) == dark(ranked)
+            assert snow(carried) == snow(ranked)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,6 +1,6 @@
 """Permutation statistics, insertion, and shadow lines."""
 
-from itertools import combinations
+import random
 
 import pytest
 
@@ -30,16 +30,22 @@ from snowpoly.permutations import (
 W = (3, 7, 2, 1, 5, 6, 4)
 
 
-def brute_lis_from(w, q):
-    """Oracle: enumerate all increasing subsequences starting at q."""
-    start = w.index(q)
-    tail = w[start + 1 :]
-    best = 1
-    for k in range(1, len(tail) + 1):
-        for combo in combinations(tail, k):
-            if all(a < b for a, b in zip((q,) + combo, combo)):
-                best = max(best, k + 1)
-    return best
+def brute_lis_lengths(w):
+    """Oracle: the longest increasing subsequence from each position, by
+    trying every increasing continuation with nothing remembered between
+    tries."""
+
+    def longest(i):
+        return 1 + max((longest(j) for j in range(i + 1, len(w)) if w[j] > w[i]), default=0)
+
+    return [longest(i) for i in range(len(w))]
+
+
+def shadow_line_turning_points(line):
+    """Oracle: the turning points of one shadow line, (i, w(j)) for each
+    two of its points (j, w(j)), (i, w(i)) listed next to each other."""
+    pts = line.points
+    return tuple((pts[k + 1][0], pts[k][1]) for k in range(len(pts) - 1))
 
 
 def peeled_shadow_lines(w):
@@ -90,10 +96,28 @@ def test_lis_from_examples():
 
 
 def test_lis_from_against_brute_force():
-    for w in all_permutations(6):
-        brute = [brute_lis_from(w, q) for q in w]
-        assert lis_lengths(w) == brute
-        assert [lis_from(w, q) for q in w] == brute
+    for n in range(8):
+        for w in all_permutations(n):
+            brute = brute_lis_lengths(w)
+            assert lis_lengths(w) == brute
+            assert [lis_from(w, q) for q in w] == brute
+
+
+def test_lis_lengths_of_distinct_values_that_are_not_a_permutation():
+    # only the order of the values matters: negatives, gaps and a value far
+    # beyond the length, none of them indexing anything
+    assert lis_lengths((5, 10**9)) == [2, 1]
+    assert lis_lengths((-3, 10**9, -7, 0, 40)) == [3, 1, 3, 2, 1]
+    assert lis_from((-3, 10**9, -7, 0, 40), -7) == 3
+    rng = random.Random(15)
+    for _ in range(500):
+        w = rng.sample(range(-20, 20), rng.randint(0, 8)) + [10**9] * rng.randint(0, 1)
+        rng.shuffle(w)
+        w = tuple(w)
+        assert lis_lengths(w) == brute_lis_lengths(w)
+        assert turning_points(w) == {
+            p for line in shadow_lines(w) for p in shadow_line_turning_points(line)
+        }
 
 
 def test_rajcode_examples():
@@ -107,6 +131,20 @@ def test_rajcode_examples():
         rajcode((3, 1, 2), 2)
     with pytest.raises(ValueError, match="not a permutation"):
         rajcode((1, 1, 2), 3)
+
+
+def test_rajcode_is_the_padded_definition():
+    # entry r is n - r (0-based r) minus the longest increasing subsequence
+    # from position r of w padded with len(w) + 1, ..., n, trailing zeros
+    # trimmed
+    for m in range(7):
+        for w in all_permutations(m):
+            for n in range(m, m + 4):
+                padded = w + tuple(range(m + 1, n + 1))
+                code = [n - r - lis for r, lis in enumerate(brute_lis_lengths(padded))]
+                while code and code[-1] == 0:
+                    code.pop()
+                assert rajcode(w, n) == tuple(code)
 
 
 def test_rajcode_is_ambient_independent():
@@ -179,6 +217,17 @@ def test_shadow_lines_match_peeling():
             assert tuple(line.points for line in shadow_lines(w)) == peeled_shadow_lines(w)
 
 
+def test_turning_points_match_shadow_lines():
+    count = 0
+    for n in range(8):
+        for w in all_permutations(n):
+            assert turning_points(w) == {
+                p for line in shadow_lines(w) for p in shadow_line_turning_points(line)
+            }
+            count += 1
+    assert count == 1 + 1 + 2 + 6 + 24 + 120 + 720 + 5040
+
+
 def test_shadow_line_count_and_turning_count():
     for w in all_permutations(5):
         lines = shadow_lines(w)
@@ -187,7 +236,7 @@ def test_shadow_line_count_and_turning_count():
 
 
 def test_turning_points_are_dark_clouds():
-    for n in range(1, 6):
+    for n in range(1, 8):
         for w in all_permutations(n):
             assert turning_points(w) == diagrams.dark(rothe_diagram(w)).cells
 
@@ -261,3 +310,13 @@ def test_inverse_fireworks_count_is_bell():
 def test_inverse_of_inverse():
     for w in all_permutations(5):
         assert inverse(inverse(w)) == w
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: inverse((1, 1)), lambda: inverse((3, 1)), lambda: is_inverse_fireworks((3, 1))],
+    ids=["repeated-value", "value-too-large", "fireworks-value-too-large"],
+)
+def test_inverse_rejects_non_permutations(call):
+    with pytest.raises(ValueError, match="not a permutation"):
+        call()
