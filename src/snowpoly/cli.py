@@ -112,14 +112,6 @@ def polynomial_doc(p: Polynomial) -> dict:
     }
 
 
-def polynomial_from_doc(doc: dict) -> Polynomial:
-    if doc.get("kind") != "polynomial":
-        raise ValueError("document is not a polynomial")
-    return Polynomial.from_terms(
-        (term["coeff"], tuple(term["x"]), term["beta"]) for term in doc["terms"]
-    )
-
-
 def diagram_doc(d) -> dict:
     if isinstance(d, SnowDiagram):
         return {

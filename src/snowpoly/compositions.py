@@ -8,6 +8,7 @@ sequence.
 from __future__ import annotations
 
 from itertools import product
+from operator import index
 from typing import Iterable
 
 from . import diagrams
@@ -17,12 +18,16 @@ Composition = tuple[int, ...]
 
 
 def canonical(alpha: Iterable[int]) -> Composition:
-    """Validate entries and trim trailing zeros.
+    """Validate entries and trim trailing zeros. Raises ValueError for an
+    entry that is negative or not an integer.
 
     >>> canonical([0, 2, 1, 0])
     (0, 2, 1)
     """
-    alpha = tuple(map(int, alpha))
+    try:
+        alpha = tuple(map(index, alpha))
+    except TypeError as err:
+        raise ValueError(f"weak composition entries must be integers: {err}") from None
     if alpha and min(alpha) < 0:
         raise ValueError("weak composition entries must be nonnegative")
     while alpha and alpha[-1] == 0:

@@ -22,6 +22,7 @@ that second check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 from . import permutations
@@ -30,7 +31,12 @@ Cell = tuple[int, int]
 
 
 def _check_cells(cells: Iterable[Cell]) -> frozenset[Cell]:
-    cells = frozenset((int(r), int(c)) for r, c in cells)
+    """The cells as a frozenset. Raises ValueError for a cell outside the
+    positive quadrant or with an entry that is not an integer."""
+    try:
+        cells = frozenset((index(r), index(c)) for r, c in cells)
+    except TypeError as err:
+        raise ValueError(f"cell entries must be integers: {err}") from None
     for r, c in cells:
         if r < 1 or c < 1:
             raise ValueError(f"cell {(r, c)} is outside the positive quadrant")

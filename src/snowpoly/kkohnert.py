@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .compositions import canonical
-from .diagrams import Cell, Diagram, SnowDiagram, _row_weight, key_diagram, weight
+from .diagrams import Cell, Diagram, SnowDiagram, _check_cells, _row_weight, key_diagram, weight
 from .polyring import Polynomial, packed_key, tally
 
 
@@ -25,13 +25,10 @@ class GhostDiagram:
     ghosts: frozenset[Cell]
 
     def __init__(self, solid: Iterable[Cell] = (), ghosts: Iterable[Cell] = ()):
-        solid = frozenset(solid)
-        ghosts = frozenset(ghosts)
+        solid = _check_cells(solid)
+        ghosts = _check_cells(ghosts)
         if solid & ghosts:
             raise ValueError("a position cannot be both solid and ghost")
-        for r, c in solid | ghosts:
-            if r < 1 or c < 1:
-                raise ValueError(f"cell {(r, c)} is outside the positive quadrant")
         object.__setattr__(self, "solid", solid)
         object.__setattr__(self, "ghosts", ghosts)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import permutations as _iter_permutations
+from operator import index
 from typing import Iterable, Iterator, NamedTuple
 
 Permutation = tuple[int, ...]
@@ -19,8 +20,11 @@ Permutation = tuple[int, ...]
 
 def _one_line(w: Iterable[int]) -> Permutation:
     """The tuple of w, untrimmed. Raises ValueError unless w is a
-    permutation of 1..len(w)."""
-    w = tuple(map(int, w))
+    permutation of 1..len(w), integer entries included."""
+    try:
+        w = tuple(map(index, w))
+    except TypeError as err:
+        raise ValueError(f"not a permutation: {err}") from None
     if sorted(w) != list(range(1, len(w) + 1)):
         raise ValueError(f"{w} is not a permutation of 1..{len(w)}")
     return w
@@ -68,10 +72,7 @@ def parse_one_line(text: str) -> Permutation:
         if not text.isdigit():
             raise ValueError(f"cannot parse permutation {text!r}")
         values = [int(ch) for ch in text]
-    w = tuple(values)
-    if sorted(w) != list(range(1, len(w) + 1)):
-        raise ValueError(f"{text!r} is not a permutation in one-line notation")
-    return w
+    return _one_line(values)
 
 
 # -- inversion statistics ---------------------------------------------------
@@ -95,10 +96,6 @@ def invcode(w: Iterable[int]) -> tuple[int, ...]:
     while code and code[-1] == 0:
         code.pop()
     return tuple(code)
-
-
-def inv(w: Iterable[int]) -> int:
-    return sum(invcode(w))
 
 
 def lis_lengths(w: Iterable[int]) -> list[int]:
@@ -234,11 +231,6 @@ def schensted(w: Iterable[int]) -> tuple[tuple[tuple[int, ...], ...], tuple[RowO
             depth += 1
         events.append(row_one_event)
     return tuple(tuple(r) for r in rows), tuple(events)
-
-
-def row_one(w: Iterable[int]) -> tuple[int, ...]:
-    rows, _ = schensted(w)
-    return rows[0] if rows else ()
 
 
 # -- Viennot shadow lines ------------------------------------------------------

@@ -99,9 +99,6 @@ class Monomial(NamedTuple):
     def make(cls, xexp: Iterable[int] = (), bexp: int = 0) -> "Monomial":
         return _view(packed_key(xexp, bexp))
 
-    def x_degree(self) -> int:
-        return sum(self.xexp)
-
 
 def _view(key: int) -> Monomial:
     """The public Monomial for a key."""

@@ -4,8 +4,11 @@ at desk scale, reported one line per check.
 These suites are the only implementation of the exhaustive checks: the
 `verify` subcommand prints them, and the acceptance criteria in
 `tests/test_acceptance.py` run them under their runtime budgets and assert
-that every check passed with the expected count. A check whose detail is
-an item count fails when that count is zero, so no suite passes on an
+that every check passed with the expected count. A suite is a generator
+that yields one (name, passed, detail, count) tuple per check, where count
+is the number of items the check covered; every check states it. run_suite
+alone turns them into CheckResults: it times each check from the previous
+yield and fails a check whose count is zero, so no suite passes on an
 empty set. A suite's default scale is its function's default argument:
 psw, top-las and expansions default to n = 7, all 5,040 permutations of
 S_7 or compositions of the box C_7, and kkohnert to the 720 compositions
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import compositions, diagrams, permutations, qbell, schubert
 from .compositions import enumerate_cn, is_snowy
@@ -32,26 +36,18 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-    seconds: float = 0.0
+    seconds: float
 
 
-def _check(
-    results: list[CheckResult], name: str, passed: bool, detail: str, count: int = 1
-):
-    """Record a check; it fails when count, the number of items it covered,
-    is zero. `seconds` holds the clock reading until run_suite turns it into
-    the time since the previous check."""
-    results.append(
-        CheckResult(name, bool(passed) and count > 0, detail, time.perf_counter())
-    )
+# (name, passed, detail, count): one check as a suite yields it
+Check = tuple[str, bool, str, int]
 
 
 # -- suites ---------------------------------------------------------------------
 
 
-def suite_tables(scale: int | None = None) -> list[CheckResult]:
+def suite_tables(scale: int | None = None) -> Iterator[Check]:
     """Both golden tables: exact polynomials, markers, and top layers."""
-    results: list[CheckResult] = []
     ok = 0
     tables = [
         (GROTHENDIECK_S4, schubert.grothendieck, is_inverse_fireworks, schubert.top_grothendieck),
@@ -67,16 +63,14 @@ def suite_tables(scale: int | None = None) -> list[CheckResult]:
             )
             ok += good
             if not good:
-                _check(results, f"table row {index}", False, "mismatch")
+                yield f"table row {index}", False, "mismatch", 1
     total = len(GROTHENDIECK_S4) + len(LASCOUX_C4)
-    _check(results, "tables", ok == total, f"{ok}/{total} table rows match", total)
-    return results
+    yield "tables", ok == total, f"{ok}/{total} table rows match", total
 
 
-def suite_rajcode_equiv(scale: int = 6) -> list[CheckResult]:
+def suite_rajcode_equiv(scale: int = 6) -> Iterator[Check]:
     """rajcode from increasing subsequences equals rajcode of the
     inversion diagram, for every permutation up to the scale."""
-    results: list[CheckResult] = []
     for n in range(1, scale + 1):
         count = 0
         bad = 0
@@ -84,14 +78,12 @@ def suite_rajcode_equiv(scale: int = 6) -> list[CheckResult]:
             count += 1
             if permutations.rajcode(w, n) != diagrams.rajcode(rothe_diagram(w)):
                 bad += 1
-        _check(
-            results,
+        yield (
             f"rajcode-equiv S_{n}",
             bad == 0,
             f"{count} permutations checked" + ("" if bad == 0 else f", {bad} failed"),
             count,
         )
-    return results
 
 
 def same_partition(xs: list, ys: list) -> bool:
@@ -102,7 +94,7 @@ def same_partition(xs: list, ys: list) -> bool:
     return len(set(xs)) == len(set(ys)) == len(set(zip(xs, ys)))
 
 
-def _top_layer_checks(results, items, top, rajcode, is_unit, noun, unit_noun):
+def _top_layer_checks(items, top, rajcode, is_unit, noun, unit_noun):
     """The leading monomial of each top layer is x^rajcode, two top layers
     are proportional iff their rajcodes agree, and the unit items (noun
     `unit_noun`) have leading coefficient 1 and meet each rajcode class
@@ -110,16 +102,9 @@ def _top_layer_checks(results, items, top, rajcode, is_unit, noun, unit_noun):
     tops = {v: top(v) for v in items}
     codes = {v: rajcode(v) for v in items}
     bad_lead = [v for v in items if leading_monomial_taillex(tops[v])[0].xexp != codes[v]]
-    _check(
-        results,
-        "leading monomial is x^rajcode",
-        not bad_lead,
-        f"{len(items)} {noun} checked",
-        len(items),
-    )
+    yield "leading monomial is x^rajcode", not bad_lead, f"{len(items)} {noun} checked", len(items)
     pairs = len(items) * (len(items) - 1) // 2
-    _check(
-        results,
+    yield (
         "proportional iff equal rajcode",
         # a top layer's ray is its normal form under rational scaling
         same_partition([tops[v].ray() for v in items], [codes[v] for v in items]),
@@ -128,8 +113,7 @@ def _top_layer_checks(results, items, top, rajcode, is_unit, noun, unit_noun):
     )
     units = [v for v in items if is_unit(v)]
     bad_unit = [v for v in units if leading_monomial_taillex(tops[v])[1] != 1]
-    _check(
-        results,
+    yield (
         f"{unit_noun} leading coefficient 1",
         not bad_unit,
         f"{len(units)} {unit_noun} {noun}",
@@ -140,8 +124,7 @@ def _top_layer_checks(results, items, top, rajcode, is_unit, noun, unit_noun):
         per_class[codes[v]] = per_class.get(codes[v], 0) + 1
     all_codes = set(codes.values())
     unique = per_class.keys() == all_codes and all(c == 1 for c in per_class.values())
-    _check(
-        results,
+    yield (
         f"one {unit_noun} element per class",
         unique,
         f"{len(all_codes)} rajcode classes",
@@ -150,12 +133,10 @@ def _top_layer_checks(results, items, top, rajcode, is_unit, noun, unit_noun):
     return tops, units
 
 
-def suite_psw(scale: int = 7) -> list[CheckResult]:
+def suite_psw(scale: int = 7) -> Iterator[Check]:
     """Leading-monomial, proportionality and representative statements for
     top Grothendieck polynomials over a full symmetric group."""
-    results: list[CheckResult] = []
-    _top_layer_checks(
-        results,
+    yield from _top_layer_checks(
         list(all_permutations(scale)),
         schubert.top_grothendieck,
         lambda w: permutations.rajcode(w, scale),
@@ -163,18 +144,15 @@ def suite_psw(scale: int = 7) -> list[CheckResult]:
         "permutations",
         "inverse fireworks",
     )
-    return results
 
 
-def suite_top_las(scale: int = 7) -> list[CheckResult]:
+def suite_top_las(scale: int = 7) -> Iterator[Check]:
     """The same statements for top Lascoux polynomials over the box, and the
     ascent recursion for the snowy ones: top_lascoux(alpha) is x^alpha when
     alpha has no ascent, and otherwise demazure(x_{i+1} * top_lascoux(s_i
     alpha), i) at its first ascent i. s_i alpha is snowy and in the box, so
     one step per snowy alpha checks the whole recursion there."""
-    results: list[CheckResult] = []
-    tops, snowy = _top_layer_checks(
-        results,
+    tops, snowy = yield from _top_layer_checks(
         enumerate_cn(scale),
         schubert.top_lascoux,
         compositions.rajcode,
@@ -190,21 +168,18 @@ def suite_top_las(scale: int = 7) -> list[CheckResult]:
         step = demazure(Polynomial.x(i + 1) * tops[compositions.s_action(alpha, i)], i)
         return tops[alpha] == step
 
-    _check(
-        results,
+    yield (
         "snowy top recursion agrees",
         all(recursion_holds(a) for a in snowy),
         f"{len(snowy)} snowy compositions",
         len(snowy),
     )
-    return results
 
 
-def suite_kkohnert(scale: int = 6) -> list[CheckResult]:
+def suite_kkohnert(scale: int = 6) -> Iterator[Check]:
     """K-Kohnert generating sums match the recursion, and the lifted
     extreme diagram realizes the rajcode weight. Each key diagram, its
     closure and its snow diagram are built once and serve both checks."""
-    results: list[CheckResult] = []
     comps = enumerate_cn(scale)
     bad_poly = []
     bad_witness = []
@@ -228,13 +203,11 @@ def suite_kkohnert(scale: int = 6) -> list[CheckResult]:
         ("K-Kohnert sum equals recursive Lascoux", bad_poly),
         ("witness diagram realizes rajcode", bad_witness),
     ]:
-        _check(results, name, not bad, f"{len(comps)} compositions checked", len(comps))
-    return results
+        yield name, not bad, f"{len(comps)} compositions checked", len(comps)
 
 
-def suite_shadow(scale: int = 6) -> list[CheckResult]:
+def suite_shadow(scale: int = 6) -> Iterator[Check]:
     """Insertion, shadow-line and dark-cloud correspondences over S_n."""
-    results: list[CheckResult] = []
     count = 0
     bad = 0
     for n in range(1, scale + 1):
@@ -254,20 +227,13 @@ def suite_shadow(scale: int = 6) -> list[CheckResult]:
                     ok = ok and dark_by_row.get(event.position) == event.bumped
             ok = ok and permutations.turning_points(w) == darks
             bad += not ok
-    _check(
-        results,
-        "insertion and shadow correspondences",
-        bad == 0,
-        f"{count} permutations checked",
-        count,
-    )
-    return results
+    yield "insertion and shadow correspondences", bad == 0, f"{count} permutations checked", count
 
 
-def suite_qbell(scale: int = 7) -> list[CheckResult]:
+def suite_qbell(scale: int = 7) -> Iterator[Check]:
     """q-Bell identities, rook statistics, dimension counts and the two
-    Hilbert series formulas."""
-    results: list[CheckResult] = []
+    Hilbert series formulas. Each check counts the levels n it covers, or
+    the coefficients of the stable series."""
     ok = True
     for n in range(1, scale + 1):
         rooks = qbell.enumerate_rook_n(n)
@@ -284,20 +250,20 @@ def suite_qbell(scale: int = 7) -> list[CheckResult]:
                 ok = False
         if len(rooks) != qbell.bell(n) or sum(qbell.q_bell(n)) != qbell.bell(n):
             ok = False
-    _check(results, "rook statistics and q-Bell sums", ok, f"n up to {scale}")
+    yield "rook statistics and q-Bell sums", ok, f"n up to {scale}", scale
     dims_ok = True
     for n in range(1, min(scale, 6) + 1):
         fireworks, snowy = schubert.vhat_basis(n)
         if len(fireworks) != qbell.bell(n) or len(snowy) != qbell.bell(n):
             dims_ok = False
-    _check(results, "basis sizes are Bell numbers", dims_ok, f"n up to {min(scale, 6)}")
+    yield "basis sizes are Bell numbers", dims_ok, f"n up to {min(scale, 6)}", min(scale, 6)
     hilb_bad = [
         n for n in range(1, scale + 1) if qbell.hilb_vn(n) != qbell.qp_rev(qbell.q_bell(n))
     ]
     hilb_msg = f"n up to {scale}"
     if hilb_bad:
         hilb_msg = f"hilb_vn differs from reversed q-Bell at n={hilb_bad[0]}"
-    _check(results, "Hilbert series routes agree", not hilb_bad, hilb_msg)
+    yield "Hilbert series routes agree", not hilb_bad, hilb_msg, scale
     degree = max(3, min(8, scale + 1))
     try:
         stable = qbell.hilb_v_stabilized(degree)
@@ -306,63 +272,59 @@ def suite_qbell(scale: int = 7) -> list[CheckResult]:
         stable_msg = f"coefficients {' '.join(map(str, product))}"
     except ArithmeticError as err:
         stable_ok, stable_msg = False, str(err)
-    _check(results, "stable Hilbert series product formula", stable_ok, stable_msg)
-    return results
+    yield "stable Hilbert series product formula", stable_ok, stable_msg, degree + 1
 
 
-def suite_expansions(scale: int = 7) -> list[CheckResult]:
-    """Positive expansions: top layers into the snowy basis and full
-    Grothendieck polynomials into Lascoux polynomials."""
-    results: list[CheckResult] = []
-    n = scale
-    perms = list(all_permutations(n))
+def _expansion_check(name, n, expand, positive, basis) -> Iterator[Check]:
+    """One check over S_n: expand(w) gives a polynomial and its coefficients
+    over basis; each (index, coefficient) pair must be positive and the
+    expansion must rebuild the polynomial."""
+    count = 0
     bad = []
-    for w in perms:
-        top = schubert.top_grothendieck(w)
+    for w in all_permutations(n):
+        count += 1
         try:
-            coeffs = schubert.expand_top_into_snowy_basis(top, n)
+            target, coeffs = expand(w)
         except (ValueError, ArithmeticError):
             bad.append(w)
             continue
         rebuilt = Polynomial.zero()
         for alpha, c in coeffs.items():
-            if c <= 0 or not is_snowy(alpha):
+            if not positive(alpha, c):
                 bad.append(w)
-            rebuilt = rebuilt + c * schubert.top_lascoux(alpha)
-        if rebuilt != top:
+            rebuilt = rebuilt + c * basis(alpha)
+        if rebuilt != target:
             bad.append(w)
-    _check(
-        results,
+    yield name, not bad, f"{count} permutations at n={n}", count
+
+
+def suite_expansions(scale: int = 7) -> Iterator[Check]:
+    """Positive expansions: top layers into the snowy basis and full
+    Grothendieck polynomials into Lascoux polynomials."""
+
+    def expand_top(w):
+        top = schubert.top_grothendieck(w)
+        return top, schubert.expand_top_into_snowy_basis(top, scale)
+
+    yield from _expansion_check(
         "top layers expand positively into the snowy basis",
-        not bad,
-        f"{len(perms)} permutations at n={n}",
-        len(perms),
+        scale,
+        expand_top,
+        lambda alpha, c: c > 0 and is_snowy(alpha),
+        schubert.top_lascoux,
     )
-    full_n = min(n, 4)
-    count = 0
-    bad_full = []
-    for w in all_permutations(full_n):
-        count += 1
-        try:
-            coeffs = schubert.expand_grothendieck_into_lascoux(w, full_n)
-        except ArithmeticError:
-            bad_full.append(w)
-            continue
-        rebuilt = Polynomial.zero()
-        for alpha, g in coeffs.items():
-            if not all(m.xexp == () and c > 0 for m, c in g.items()):
-                bad_full.append(w)
-            rebuilt = rebuilt + g * schubert.lascoux(alpha)
-        if rebuilt != schubert.grothendieck(w):
-            bad_full.append(w)
-    _check(
-        results,
+    full_n = min(scale, 4)
+
+    def expand_full(w):
+        return schubert.grothendieck(w), schubert.expand_grothendieck_into_lascoux(w, full_n)
+
+    yield from _expansion_check(
         "Grothendieck expands into Lascoux over nonnegative b-polynomials",
-        not bad_full,
-        f"{count} permutations at n={full_n}",
-        count,
+        full_n,
+        expand_full,
+        lambda alpha, g: all(m.xexp == () and c > 0 for m, c in g.items()),
+        schubert.lascoux,
     )
-    return results
 
 
 SUITES = {
@@ -383,10 +345,11 @@ MIN_SCALE = {"psw": 2, "top-las": 2}
 
 def run_suite(name: str, scale: int | None = None) -> list[CheckResult]:
     """Run one suite by name, or all of them. Each check carries the wall
-    time from the end of the previous check (the first one from the start of
-    its suite), so shared set-up counts towards the first check that uses
-    it. Raises ValueError, before any suite runs, for a scale below the
-    least scale of a suite it would run."""
+    time since the suite yielded the previous one (the first one since the
+    start of its suite), so shared set-up counts towards the first check
+    that uses it, and fails when it covered no item. Raises ValueError,
+    before any suite runs, for a scale below the least scale of a suite it
+    would run."""
     if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     names = list(SUITES) if name == "all" else [name]
@@ -395,13 +358,12 @@ def run_suite(name: str, scale: int | None = None) -> list[CheckResult]:
         if scale is not None and scale < least:
             raise ValueError(f"scale must be at least {least} for {key}, got {scale}")
     if name == "all":
-        results: list[CheckResult] = []
-        for key in names:
-            results.extend(run_suite(key, scale))
-        return results
+        return [r for key in names for r in run_suite(key, scale)]
     fn = SUITES[name]
+    results = []
     previous = time.perf_counter()
-    results = fn() if scale is None else fn(scale)
-    for r in results:
-        r.seconds, previous = r.seconds - previous, r.seconds
+    for check, passed, detail, count in fn() if scale is None else fn(scale):
+        now = time.perf_counter()
+        results.append(CheckResult(check, bool(passed) and count > 0, detail, now - previous))
+        previous = now
     return results

@@ -1,5 +1,6 @@
 """Command-line interface: text goldens, JSON round trips, exit codes."""
 
+import importlib.util
 import json
 import os
 import random
@@ -14,11 +15,22 @@ from snowpoly.cli import (
     parse_cells,
     parse_composition,
     polynomial_doc,
-    polynomial_from_doc,
     render_polynomial,
 )
 from snowpoly.kkohnert import PackedClosure
 from snowpoly.polyring import Polynomial
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def load_perfbench_checks():
+    """perfbench/checks.py, the benchmark's stdlib-only output checker."""
+    path = os.path.join(ROOT, "perfbench", "checks.py")
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_cli(capsys, *argv):
@@ -134,13 +146,15 @@ def test_verify_all_at_scale_4(capsys):
     code, out, _ = run_cli(capsys, "verify", "all", "4")
     assert code == 0
     assert "[FAIL]" not in out
+    # every check's name and detail as the benchmark checker expects them
+    msg, checks = load_perfbench_checks().check_verify_output(out, 4)
+    assert msg is None
+    assert checks == len(out.splitlines()) - 1
 
 
 def test_verify_fails_on_an_empty_set(capsys, monkeypatch):
     def suite(scale=1):
-        results = []
-        verify._check(results, "pairs agree", True, "0 pairs checked", 0)
-        return results
+        yield "pairs agree", True, "0 pairs checked", 0
 
     monkeypatch.setitem(verify.SUITES, "fake", suite)
     code, out, _ = run_cli(capsys, "verify", "fake")
@@ -171,19 +185,26 @@ def test_verify_json_is_one_document(capsys):
 
 
 def test_verify_times_each_check_from_the_previous_one(monkeypatch):
-    ticks = iter([10.0, 11.0, 13.0, 16.0])
+    ticks = iter([10.0, 11.0, 13.0, 16.0, 20.0])
     monkeypatch.setattr(verify.time, "perf_counter", lambda: next(ticks))
 
+    def delegate():
+        yield "b", True, "ok", 1
+        yield "c", True, "ok", 1
+        return "d"
+
     def suite(scale=1):
-        results = []
-        for name in ("a", "b", "c"):
-            verify._check(results, name, True, "ok")
-        return results
+        yield "a", True, "ok", 1
+        last = yield from delegate()  # as suite_top_las takes the tops
+        yield last, True, "ok", 1
 
     monkeypatch.setitem(verify.SUITES, "fake", suite)
     results = verify.run_suite("fake")
-    assert [(r.name, r.seconds) for r in results] == [("a", 1.0), ("b", 2.0), ("c", 3.0)]
-    assert sum(r.seconds for r in results) == 16.0 - 10.0  # the suite's wall time
+    assert [(r.name, r.seconds) for r in results] == [
+        ("a", 1.0), ("b", 2.0), ("c", 3.0), ("d", 4.0)
+    ]
+    assert all(r.passed for r in results)
+    assert sum(r.seconds for r in results) == 20.0 - 10.0  # the suite's wall time
 
 
 def test_parse_errors_exit_2(capsys):
@@ -220,6 +241,15 @@ def test_parse_helpers():
     assert parse_composition("0,2,1") == (0, 2, 1)
     assert parse_composition("") == ()
     assert parse_cells("1,3;2,1").cells == {(1, 3), (2, 1)}
+
+
+def polynomial_from_doc(doc: dict) -> Polynomial:
+    """The polynomial of a `polynomial_doc` document: the round-trip oracle."""
+    if doc.get("kind") != "polynomial":
+        raise ValueError("document is not a polynomial")
+    return Polynomial.from_terms(
+        (term["coeff"], tuple(term["x"]), term["beta"]) for term in doc["terms"]
+    )
 
 
 def test_polynomial_json_round_trip(capsys):
@@ -265,7 +295,7 @@ def test_render_orders_layers_by_b_degree():
 
 
 def test_module_entry_point_runs_without_warnings():
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    src = os.path.join(ROOT, "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
         [sys.executable, "-m", "snowpoly.cli", "rajcode", "--perm", "1324"],

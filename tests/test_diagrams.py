@@ -6,7 +6,7 @@ from itertools import permutations, product
 
 import pytest
 
-from snowpoly import cli
+from snowpoly import cli, compositions, schubert
 from snowpoly.diagrams import (
     Diagram,
     RookDiagram,
@@ -22,8 +22,27 @@ from snowpoly.diagrams import (
     stair,
     weight,
 )
+from snowpoly.kkohnert import GhostDiagram
+from snowpoly.permutations import _one_line
 
 EXAMPLE = Diagram({(1, 3), (2, 1), (2, 2), (3, 3), (5, 1), (5, 2)})
+
+
+@pytest.mark.parametrize(
+    "build, entries",
+    [
+        (compositions.canonical, [1.9, 2]),
+        (schubert.lascoux, [1.9, 2]),
+        (_one_line, [1.9, 2]),
+        (Diagram, [(1.7, 2)]),
+        (RookDiagram, [(1.7, 2)]),
+        (GhostDiagram, [(1.7, 2)]),
+    ],
+)
+def test_non_integer_entries_are_rejected_not_truncated(build, entries):
+    # int() would truncate 1.9 to 1 and 1.7 to 1, both valid entries
+    with pytest.raises(ValueError, match="integer"):
+        build(entries)
 
 
 def test_weight_examples():

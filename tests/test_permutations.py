@@ -10,7 +10,6 @@ from snowpoly.permutations import (
     all_permutations,
     canonical,
     decreasing_runs,
-    inv,
     invcode,
     inverse,
     inversions,
@@ -21,7 +20,6 @@ from snowpoly.permutations import (
     parse_one_line,
     raj,
     rajcode,
-    row_one,
     schensted,
     shadow_lines,
     turning_points,
@@ -84,7 +82,7 @@ def test_inversions_examples():
     }
     assert invcode(()) == ()
     assert invcode((4, 1, 5, 3, 2)) == (3, 0, 2, 1)
-    assert inv((4, 1, 5, 3, 2)) == 6
+    assert sum(invcode((4, 1, 5, 3, 2))) == 6
 
 
 def test_lis_from_examples():
@@ -231,8 +229,9 @@ def test_turning_points_match_shadow_lines():
 def test_shadow_line_count_and_turning_count():
     for w in all_permutations(5):
         lines = shadow_lines(w)
-        assert len(lines) == len(row_one(w))
-        assert len(turning_points(w)) == len(w) - len(row_one(w))
+        row_one = schensted(w)[0][0]
+        assert len(lines) == len(row_one)
+        assert len(turning_points(w)) == len(w) - len(row_one)
 
 
 def test_turning_points_are_dark_clouds():
