@@ -342,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError) as err:
+    except (ValueError, KeyError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

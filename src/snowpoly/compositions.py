@@ -54,11 +54,8 @@ def dark_inverse(rook) -> Composition:
     """The snowy weak composition whose dark clouds are the given rooks."""
     if not isinstance(rook, RookDiagram):
         rook = RookDiagram(rook)
-    if not rook.cells:
-        return ()
-    top = max(r for r, _ in rook.cells)
-    cols = {r: c for r, c in rook.cells}
-    return canonical(cols.get(r, 0) for r in range(1, top + 1))
+    cols = dict(rook)
+    return canonical(cols.get(r, 0) for r in range(1, max(cols, default=0) + 1))
 
 
 def snowy_representative(alpha: Iterable[int]) -> Composition:

@@ -1,27 +1,25 @@
-"""Cell-set diagrams, the snow-diagram construction, and its statistics.
+"""Diagrams, the snow-diagram construction, and its statistics.
 
 A diagram is a finite set of (row, column) cells, 1-indexed with row 1 on
 top and column 1 on the left. The snow construction decorates a diagram
 with dark clouds and snowflakes; its row weights define rajcode and raj.
 
-The snow construction runs on row masks: entry r - 1 of a list of ints is
-row r, with one bit per column. A diagram reads its masks once, through
-Diagram._row_masks. A Rothe diagram carries them from its construction,
-with column c at bit c - 1 for c = 1..len(w). Any other diagram ranks its
-occupied columns on first use, so bit i stands for the (i + 1)-th smallest
-of them and the mask width is the number of distinct columns, whatever
-their values. The key diagram of alpha has column c at bit c - 1, so row r
-is (1 << alpha_r) - 1 and no cell set is built for it.
-
-The public Diagram and RookDiagram constructors check every cell. The
-diagrams the library builds itself (rothe_diagram, key_diagram, dark and
-the rook placements of qbell) come from inputs already checked, and skip
-that second check.
+A diagram stores its row masks, the form the snow construction runs on:
+entry r - 1 of a list of ints is row r, bit i of it is the cell in column
+cols[i], the columns increase with the bit, and the last row is not empty.
+The public Diagram and RookDiagram constructors check every cell and rank
+the occupied columns, so the mask width is the number of distinct columns,
+whatever their values. The diagrams the library builds from checked input
+skip those checks: rothe_diagram and key_diagram build masks over columns
+1..n (row r of the key diagram is (1 << alpha_r) - 1), and dark keeps the
+columns of its diagram. Iteration and len read the masks. The cell set is
+a view, decoded on first read and cached, behind equality, hashing and
+repr, so rajcode and dark build none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import index
 from typing import Iterable, Iterator, Sequence
 
@@ -53,54 +51,64 @@ def _row_weight(cells: Iterable[Cell]) -> tuple[int, ...]:
     return tuple(counts.get(r, 0) for r in range(1, top + 1))
 
 
-# Row masks of a diagram and the column that each bit stands for.
-Masks = tuple[list[int], Sequence[int]]
-
-
-@dataclass(frozen=True)
 class Diagram:
-    """An immutable finite set of cells. Equality and hashing see only the
-    cells, not how the row masks were obtained."""
+    """An immutable finite set of cells, stored as row masks. Equality and
+    hashing see only the cells, not the columns the masks range over."""
 
-    cells: frozenset[Cell]
-    _masks: Masks | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("_rows", "_cols", "_cells")
 
     def __init__(self, cells: Iterable[Cell] = ()):
-        object.__setattr__(self, "cells", _check_cells(cells))
+        cells = _check_cells(cells)
+        cols = sorted({c for _, c in cells})
+        bit = {c: 1 << i for i, c in enumerate(cols)}
+        rows = [0] * max((r for r, _ in cells), default=0)
+        for r, c in cells:
+            rows[r - 1] |= bit[c]
+        self._rows, self._cols, self._cells = rows, cols, cells
 
     @classmethod
-    def _trusted(cls, cells: frozenset[Cell], masks: Masks | None = None):
-        """A diagram of cells the library built itself, without the checks
-        of the public constructor, with its row masks when the builder
-        already has them."""
+    def _trusted(cls, rows: list[int], cols: Sequence[int]):
+        """A diagram the library built itself from checked row masks over
+        the increasing columns cols, without the public constructor."""
         d = object.__new__(cls)
-        object.__setattr__(d, "cells", cells)
-        if masks is not None:
-            object.__setattr__(d, "_masks", masks)
+        d._rows, d._cols, d._cells = rows, cols, None
         return d
 
-    def _row_masks(self) -> Masks:
-        """The row masks, with the column of each bit; ranked once when
-        the diagram was not built with them."""
-        masks = self._masks
-        if masks is None:
-            masks = _ranked_masks(self.cells)
-            object.__setattr__(self, "_masks", masks)
-        return masks
+    @property
+    def cells(self) -> frozenset[Cell]:
+        """The cells, decoded from the row masks on first read."""
+        if self._cells is None:
+            self._cells = frozenset(self)
+        return self._cells
 
     def __iter__(self) -> Iterator[Cell]:
-        return iter(sorted(self.cells))
+        """The cells in sorted order, read off the set bits of each row."""
+        cols = self._cols
+        for r, row in enumerate(self._rows, 1):
+            while row:
+                low = row & -row
+                yield r, cols[low.bit_length() - 1]
+                row ^= low
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return sum(row.bit_count() for row in self._rows)
 
-    def __contains__(self, cell: Cell) -> bool:
-        return cell in self.cells
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.cells == other.cells
+
+    def __hash__(self) -> int:
+        return hash((self.cells,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(cells={self.cells!r})"
 
 
-@dataclass(frozen=True)
 class RookDiagram(Diagram):
     """A diagram with at most one cell in each row and each column."""
+
+    __slots__ = ()
 
     def __init__(self, cells: Iterable[Cell] = ()):
         super().__init__(cells)
@@ -151,19 +159,32 @@ def weight(diagram) -> tuple[int, ...]:
     return _row_weight(diagram.cells)
 
 
+def _key_rows(alpha: Sequence[int]) -> list[int]:
+    """The row masks of the key diagram of alpha, column c at bit c - 1."""
+    return [(1 << a) - 1 for a in alpha]
+
+
 def key_diagram(alpha: Iterable[int]) -> Diagram:
     """The left-justified diagram with alpha_r cells in row r. Raises
-    ValueError for a negative entry."""
-    alpha = tuple(alpha)
-    if any(a < 0 for a in alpha):
+    ValueError for an entry that is negative or not an integer."""
+    try:
+        alpha = tuple(map(index, alpha))
+    except TypeError as err:
+        raise ValueError(f"key diagram entries must be integers: {err}") from None
+    if alpha and min(alpha) < 0:
         raise ValueError(f"{alpha} has a negative entry")
-    return Diagram._trusted(
-        frozenset((r, c) for r, a in enumerate(alpha, start=1) for c in range(1, a + 1))
-    )
+    rows = _key_rows(alpha)
+    while rows and not rows[-1]:
+        rows.pop()
+    return Diagram._trusted(rows, range(1, max(alpha, default=0) + 1))
 
 
 def stair(n: int) -> Diagram:
     """The staircase: key diagram of (n-1, n-2, ..., 1)."""
+    try:
+        n = index(n)
+    except TypeError as err:
+        raise ValueError(f"staircase size must be an integer: {err}") from None
     if n < 1:
         raise ValueError("staircase size must be positive")
     return key_diagram(range(n - 1, 0, -1))
@@ -174,23 +195,17 @@ def rothe_diagram(w: Iterable[int]) -> Diagram:
     ValueError when w is not a permutation in one-line notation.
 
     Row r is the mask of the values after position r that are smaller than
-    w(r), over columns 1..len(w); one right-to-left pass over w reads off
-    each mask and the cells of its set bits."""
+    w(r), over columns 1..len(w), read off by one right-to-left pass over w."""
     w = permutations.canonical(w)
     rows = [0] * len(w)
-    cells = []
     later = 0
     for r in range(len(w) - 1, -1, -1):
         below = (1 << (w[r] - 1)) - 1
-        rows[r] = row = later & below
+        rows[r] = later & below
         later |= below + 1
-        while row:
-            low = row & -row
-            cells.append((r + 1, low.bit_length()))
-            row ^= low
     while rows and not rows[-1]:
         rows.pop()
-    return Diagram._trusted(frozenset(cells), (rows, range(1, len(w) + 1)))
+    return Diagram._trusted(rows, range(1, len(w) + 1))
 
 
 def _snow_rows(rows: list[int]) -> tuple[list[int], list[int]]:
@@ -216,31 +231,15 @@ def _snow_rows(rows: list[int]) -> tuple[list[int], list[int]]:
 
 
 def _key_snow(alpha: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """The snow construction on the key diagram of a canonical alpha, whose
-    row r is the mask (1 << alpha_r) - 1: the column of the dark cloud of
-    each row (0 for none) and the row weights."""
-    return _snow_rows([(1 << a) - 1 for a in alpha])
-
-
-def _ranked_masks(cells: frozenset[Cell]) -> Masks:
-    """The row masks of a diagram over its ranked columns, and the columns
-    in rank order."""
-    cols = sorted({c for _, c in cells})
-    bit = {c: 1 << i for i, c in enumerate(cols)}
-    rows = [0] * max((r for r, _ in cells), default=0)
-    for r, c in cells:
-        rows[r - 1] |= bit[c]
-    return rows, cols
-
-
-def _dark_cells(darks: list[int], cols: Sequence[int]) -> frozenset[Cell]:
-    return frozenset((r, cols[d - 1]) for r, d in enumerate(darks, 1) if d)
+    """The snow construction on the key diagram of a canonical alpha: the
+    column of the dark cloud of each row (0 for none) and the row weights."""
+    return _snow_rows(_key_rows(alpha))
 
 
 def snow(diagram: Diagram) -> SnowDiagram:
     """The snow diagram of a diagram: each dark cloud fills the empty
     positions above it in its column with snowflakes."""
-    rows, cols = diagram._row_masks()
+    rows, cols = diagram._rows, diagram._cols
     darks, _ = _snow_rows(rows)
     flakes = [
         (rp, cols[d - 1])
@@ -249,19 +248,21 @@ def snow(diagram: Diagram) -> SnowDiagram:
         for rp in range(1, r)
         if not rows[rp - 1] >> (d - 1) & 1
     ]
-    return SnowDiagram(diagram, _dark_cells(darks, cols), frozenset(flakes))
+    dark_cells = frozenset((r, cols[d - 1]) for r, d in enumerate(darks, 1) if d)
+    return SnowDiagram(diagram, dark_cells, frozenset(flakes))
 
 
 def dark(diagram: Diagram) -> RookDiagram:
-    """The dark-cloud positions of the snow diagram."""
-    rows, cols = diagram._row_masks()
-    darks, _ = _snow_rows(rows)
-    return RookDiagram._trusted(_dark_cells(darks, cols))
+    """The dark-cloud positions of the snow diagram, over the columns of
+    the diagram."""
+    darks, _ = _snow_rows(diagram._rows)
+    # d is the bit index of the row's dark cloud plus one, 0 for none
+    return RookDiagram._trusted([1 << d >> 1 for d in darks], diagram._cols)
 
 
 def rajcode(diagram: Diagram) -> tuple[int, ...]:
     """Row weights of the snow diagram."""
-    return tuple(_snow_rows(diagram._row_masks()[0])[1])
+    return tuple(_snow_rows(diagram._rows)[1])
 
 
 def raj(diagram: Diagram) -> int:
@@ -286,12 +287,8 @@ def render_ascii(diagram) -> str:
     snowflakes as an asterisk; empty positions are spaces. The empty
     diagram renders as the empty string.
     """
-    if isinstance(diagram, SnowDiagram):
-        cells = diagram.cells
-        label = diagram.label
-    else:
-        cells = diagram.cells
-        label = lambda cell: "plain"
+    cells = diagram.cells
+    label = diagram.label if isinstance(diagram, SnowDiagram) else lambda cell: "plain"
     if not cells:
         return ""
     max_row = max(r for r, _ in cells)

@@ -11,7 +11,7 @@ from operator import add
 from typing import Callable, Iterable
 
 from .compositions import enumerate_snowy_cn
-from .diagrams import RookDiagram
+from .diagrams import RookDiagram, dark, key_diagram
 
 QPolynomial = tuple[int, ...]
 
@@ -122,23 +122,23 @@ def bell(n: int) -> int:
 
 
 def enumerate_rook_n(n: int) -> list[RookDiagram]:
-    """Non-attacking rook diagrams inside the staircase of size n, read off
-    the snowy box compositions: the rook of row r sits in column alpha_r.
-    Listed in the order of enumerate_snowy_cn."""
-    return [
-        RookDiagram._trusted(frozenset((r, a) for r, a in enumerate(alpha, 1) if a))
-        for alpha in enumerate_snowy_cn(n)
-    ]
+    """Non-attacking rook diagrams inside the staircase of size n: the dark
+    clouds of the key diagrams of the snowy box compositions, so the rook of
+    row r sits in column alpha_r. Listed in the order of enumerate_snowy_cn."""
+    return [dark(key_diagram(alpha)) for alpha in enumerate_snowy_cn(n)]
 
 
 def gr_stat(rook: RookDiagram, n: int) -> int:
     """Unmarked staircase cells after each rook marks its column upward and
     its row leftward. The marks of a rook inside the staircase never leave
     it, so this is n(n-1)/2 - nw_stat(rook); the set-marking count is an
-    oracle in tests/test_qbell.py."""
+    oracle in tests/test_qbell.py. Raises ValueError for two attacking
+    cells, as RookDiagram does."""
     if n < 1:
         raise ValueError("staircase size must be positive")
-    if any(c > n - r for r, c in rook.cells):
+    if not isinstance(rook, RookDiagram):
+        rook = RookDiagram(rook)
+    if any(c > n - r for r, c in rook):
         raise ValueError(f"rook diagram is not contained in the staircase of size {n}")
     return n * (n - 1) // 2 - nw_stat(rook)
 
@@ -151,10 +151,13 @@ def nw_stat(rook: RookDiagram) -> int:
     rooks meet only where the column of (r, c) crosses the row of a rook
     (r', c') with r' < r and c' > c, so the count is sum(r + c - 1) minus the
     number of such pairs, taken here row by row over a bitmask of the
-    columns of the rooks above.
+    columns of the rooks above. Raises ValueError for two attacking cells,
+    as RookDiagram does.
     """
+    if not isinstance(rook, RookDiagram):
+        rook = RookDiagram(rook)
     total = used = 0
-    for r, c in sorted(rook.cells):
+    for r, c in rook:  # sorted by row
         total += r + c - 1 - (used >> (c + 1)).bit_count()
         used |= 1 << c
     return total

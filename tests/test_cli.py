@@ -24,10 +24,11 @@ from snowpoly.polyring import Polynomial
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def load_perfbench_checks():
-    """perfbench/checks.py, the benchmark's stdlib-only output checker."""
-    path = os.path.join(ROOT, "perfbench", "checks.py")
-    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+def load_perfbench(name):
+    """perfbench/<name>.py, one of the benchmark's stdlib-only modules:
+    `checks` is its output checker, `spans` its tracer."""
+    path = os.path.join(ROOT, "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -147,9 +148,31 @@ def test_verify_all_at_scale_4(capsys):
     assert code == 0
     assert "[FAIL]" not in out
     # every check's name and detail as the benchmark checker expects them
-    msg, checks = load_perfbench_checks().check_verify_output(out, 4)
+    msg, checks = load_perfbench("checks").check_verify_output(out, 4)
     assert msg is None
     assert checks == len(out.splitlines()) - 1
+
+
+# Spans in perfbench/spans.py that name definitions no longer in snowpoly;
+# their figures always read 0 until the benchmark retargets them.
+DEAD_SPANS = {
+    ("schubert", "_top_lascoux_recursive"),
+    ("diagrams", "rook_placements"),
+    ("kkohnert", "kkohnert_successors"),
+}
+
+
+def test_perfbench_spans_name_live_code():
+    # a span whose target is renamed or deleted silently reads 0, so every
+    # per-layer figure the tracer reports must name live code
+    spans = load_perfbench("spans")
+    missing = {
+        (module, attr)
+        for module, attr, _ in spans.FUNCTIONS
+        if not hasattr(importlib.import_module(f"snowpoly.{module}"), attr)
+    }
+    assert missing == DEAD_SPANS
+    assert all(hasattr(Polynomial, attr) for attr, _ in spans.METHODS)
 
 
 def test_verify_fails_on_an_empty_set(capsys, monkeypatch):
@@ -221,6 +244,7 @@ def test_parse_errors_exit_2(capsys):
         ["groth", "1324", "--beta", "-1"],
         ["lascoux", "0,2,1", "--beta", "-1"],
         ["lascoux", "128"],
+        ["lascoux", "0,127"],  # an OverflowError inside the recursion
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv

@@ -37,6 +37,8 @@ EXAMPLE = Diagram({(1, 3), (2, 1), (2, 2), (3, 3), (5, 1), (5, 2)})
         (Diagram, [(1.7, 2)]),
         (RookDiagram, [(1.7, 2)]),
         (GhostDiagram, [(1.7, 2)]),
+        (key_diagram, (1.5,)),
+        (stair, 2.5),
     ],
 )
 def test_non_integer_entries_are_rejected_not_truncated(build, entries):
@@ -149,11 +151,16 @@ def test_diagram_rejects_cells_outside_the_quadrant():
 
 def test_library_built_diagrams_equal_checked_ones():
     # the diagrams the library builds without the constructor's checks are
-    # the ones the checked constructors give for the same cells
+    # the ones the checked constructors give for the same cells; rajcode
+    # and dark read their row masks and decode no cell set
     for d in [rothe_diagram((4, 1, 5, 3, 2)), key_diagram((2, 0, 4, 3, 1)), stair(4)]:
-        assert type(d) is Diagram and d == Diagram(d.cells)
+        assert rajcode(d)
         rooks = dark(d)
+        assert d._cells is None and rooks._cells is None
+        assert type(d) is Diagram and d == Diagram(d.cells)
         assert type(rooks) is RookDiagram and rooks == RookDiagram(rooks.cells)
+        with pytest.raises(AttributeError):
+            d.cells = frozenset()
 
 
 def test_rothe_carried_masks_agree_with_ranked_ones():

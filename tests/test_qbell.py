@@ -8,7 +8,7 @@ import pytest
 
 from snowpoly import qbell
 from snowpoly.compositions import canonical, dark_inverse, is_snowy, raj
-from snowpoly.diagrams import RookDiagram, stair
+from snowpoly.diagrams import Diagram, RookDiagram, stair
 from snowpoly.qbell import (
     bell,
     enumerate_rook_n,
@@ -136,6 +136,15 @@ def test_gr_and_nw_examples():
         gr_stat(RookDiagram({(1, 4)}), 3)
     with pytest.raises(ValueError):
         gr_stat(RookDiagram(), 0)
+
+
+def test_gr_and_nw_reject_attacking_cells():
+    # a plain Diagram is converted to a RookDiagram, which checks it
+    with pytest.raises(ValueError, match="attacking"):
+        gr_stat(Diagram({(1, 1), (1, 2)}), 3)
+    with pytest.raises(ValueError, match="attacking"):
+        nw_stat(Diagram({(1, 1), (2, 1)}))
+    assert gr_stat(Diagram({(2, 1)}), 3) == 1 and nw_stat([(2, 1)]) == 2
 
 
 def gr_by_marking(cells, n):
