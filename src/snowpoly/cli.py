@@ -12,11 +12,11 @@ import json
 import sys
 from typing import Iterable
 
-from . import compositions, diagrams, permutations, qbell, schubert, verify
+from . import compositions, diagrams, qbell, schubert, verify
 from .diagrams import Diagram, SnowDiagram, key_diagram, render_ascii, rothe_diagram, snow
 from .kkohnert import PackedClosure, enumerate_kkd
 from .permutations import parse_one_line, shadow_lines, turning_points
-from .polyring import Monomial, Polynomial, beta_component, taillex_key, top_component
+from .polyring import Polynomial, beta_component, top_component
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -50,10 +50,6 @@ def parse_cells(text: str) -> Diagram:
 # -- rendering ---------------------------------------------------------------------
 
 
-def _sorted_terms(p: Polynomial) -> list[tuple[Monomial, int]]:
-    return sorted(p.items(), key=lambda mc: (taillex_key(mc[0].xexp), mc[0].bexp))
-
-
 def _render_x_monomial(xexp: tuple[int, ...]) -> str:
     factors = [
         f"x{i}" + (f"^{e}" if e > 1 else "")
@@ -83,7 +79,7 @@ def render_polynomial(p: Polynomial) -> str:
     if p.is_zero():
         return "0"
     layers: dict[int, list[str]] = {}
-    for m, c in _sorted_terms(p):
+    for m, c in p.items():
         layers.setdefault(m.bexp, []).append(_render_layer_term(c, m.xexp))
     chunks = []
     for d, terms in sorted(layers.items()):
@@ -101,13 +97,13 @@ def render_composition(alpha: Iterable[int]) -> str:
 
 
 def polynomial_doc(p: Polynomial) -> dict:
-    """Canonical JSON document: terms sorted by tail-lex monomial then
-    b-exponent."""
+    """Canonical JSON document: terms in the order of `items`, tail-lex
+    monomial then b-exponent."""
     return {
         "kind": "polynomial",
         "terms": [
             {"coeff": c, "x": list(m.xexp), "beta": m.bexp}
-            for m, c in _sorted_terms(p)
+            for m, c in p.items()
         ],
     }
 
@@ -171,11 +167,7 @@ def _cmd_snow(args) -> int:
 
 
 def _cmd_rajcode(args) -> int:
-    if args.perm is not None:
-        w = parse_one_line(args.perm)
-        code = permutations.rajcode(w, len(w))
-    else:
-        code = diagrams.rajcode(_input_diagram(args))
+    code = diagrams.rajcode(_input_diagram(args))
     text = f"{render_composition(code)} raj={sum(code)}"
     _emit(
         args,

@@ -60,13 +60,14 @@ class PackedClosure:
     __slots__ = ("rows", "width", "keys")
 
     def __init__(self, start: Diagram | GhostDiagram):
-        if isinstance(start, Diagram):
-            start = GhostDiagram(start.cells)
-        weight = start.weight()
+        # a Diagram is walked off its row masks, with no ghosts
+        solid, ghosts = (start, ()) if isinstance(start, Diagram) else (start.solid, start.ghosts)
+        cells = [*solid, *ghosts]
+        weight = _row_weight(cells)
         self.rows = n = len(weight)
-        self.width = width = max((c for _, c in start.cells), default=0) + 1
+        self.width = width = max((c for _, c in cells), default=0) + 1
         b_unit = packed_key(bexp=1)
-        self.keys = keys = {self._pack(start): packed_key(weight, start.excess)}
+        self.keys = keys = {self._pack(solid, ghosts): packed_key(weight, len(ghosts))}
 
         ghost_shift = n * width
         board = (1 << ghost_shift) - 1
@@ -109,11 +110,11 @@ class PackedClosure:
                         found.append(moved)
             frontier = found
 
-    def _pack(self, g: GhostDiagram) -> int | None:
-        """The packed g, or None when a cell of g lies outside the layout."""
+    def _pack(self, solid: Iterable[Cell], ghosts: Iterable[Cell]) -> int | None:
+        """The packed diagram, or None when a cell lies outside the layout."""
         n, width = self.rows, self.width
         state = 0
-        for cells, shift in ((g.solid, 0), (g.ghosts, n * width)):
+        for cells, shift in ((solid, 0), (ghosts, n * width)):
             for r, c in cells:
                 if r > n or c >= width:
                     return None
@@ -124,7 +125,7 @@ class PackedClosure:
         return len(self.keys)
 
     def __contains__(self, g: GhostDiagram) -> bool:
-        return self._pack(g) in self.keys
+        return self._pack(g.solid, g.ghosts) in self.keys
 
     def diagrams(self) -> frozenset[GhostDiagram]:
         """Every diagram of the closure, decoded."""

@@ -4,8 +4,9 @@ Coefficients are arbitrary-precision Python integers. Inside `Polynomial`
 each term is stored under one packed integer key: the b-exponent sits in
 bits [0, 8) and the exponent of x_i in bits [8i, 8i + 8), so higher indices
 sit in higher bits and two monomials are equal exactly when their keys are.
-The product of two monomials is the sum of their keys, and on keys free of
-b integer order is tail-lex order. The marker b records the inhomogeneous
+The product of two monomials is the sum of their keys, and integer order
+of keys is tail-lex order on x, then b: the one term order, in which
+`items` and `monomials` yield. The marker b records the inhomogeneous
 grading of Grothendieck and Lascoux polynomials.
 
 No carry may ever cross a field. Every stored exponent is at most 127, so
@@ -35,16 +36,6 @@ from typing import Iterable, Iterator, NamedTuple
 _WIDTH = 8  # bits per exponent field
 _MASK = (1 << _WIDTH) - 1
 _LIMIT = 1 << (_WIDTH - 1)  # every stored exponent is below this; the field's top bit is the guard
-
-
-def taillex_key(xexp: tuple[int, ...]):
-    """Sort key realizing the tail lexicographic order on trimmed exponents.
-
-    Two exponent vectors are compared at the largest index where they differ.
-    A trimmed vector that is longer wins outright (its last entry is positive
-    against an implicit zero), and equal-length vectors compare reversed.
-    """
-    return (len(xexp), tuple(reversed(xexp)))
 
 
 def packed_key(xexp: Iterable[int] = (), bexp: int = 0) -> int:
@@ -174,10 +165,13 @@ class Polynomial:
     # -- inspection --------------------------------------------------------
 
     def items(self) -> Iterator[tuple[Monomial, int]]:
-        return ((_view(k), c) for k, c in self._terms.items())
+        """The terms in canonical order: ascending key, that is tail-lex on
+        the x-exponents, then ascending b-exponent."""
+        return ((_view(k), c) for k, c in sorted(self._terms.items()))
 
     def monomials(self) -> Iterator[Monomial]:
-        return map(_view, self._terms)
+        """The monomials in the canonical order of `items`."""
+        return map(_view, sorted(self._terms))
 
     def coefficient(self, xexp: Iterable[int] = (), bexp: int = 0) -> int:
         return self._terms.get(packed_key(xexp, bexp), 0)
@@ -211,10 +205,7 @@ class Polynomial:
         return hash(frozenset(self._terms.items()))
 
     def __repr__(self) -> str:
-        parts = [
-            f"{c}*x^{m.xexp}*b^{m.bexp}"
-            for m, c in sorted(self.items(), key=lambda mc: (taillex_key(mc[0].xexp), mc[0].bexp))
-        ]
+        parts = [f"{c}*x^{m.xexp}*b^{m.bexp}" for m, c in self.items()]
         return "Polynomial(" + (" + ".join(parts) if parts else "0") + ")"
 
     # -- arithmetic --------------------------------------------------------

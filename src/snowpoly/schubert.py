@@ -40,7 +40,7 @@ from .polyring import (
     beta_component,
     bottom_leading_term,
     divided_difference,
-    taillex_key,
+    packed_key,
     top_component,
 )
 
@@ -201,7 +201,7 @@ def _eliminate(target: Polynomial, basis, name) -> dict[Composition, dict[int, i
             )
         steps += 1
         d, mono, coeff = _select_pivot(remainder)
-        order = (-d, taillex_key(mono.xexp))
+        order = (-d, packed_key(mono.xexp))
         if last is not None and order >= last:
             raise ArithmeticError(
                 f"greedy expansion of {name} stalled at step {steps}: pivot "

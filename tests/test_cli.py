@@ -9,15 +9,17 @@ import sys
 
 import pytest
 
-from snowpoly import cli, verify
+from snowpoly import cli, permutations, verify
 from snowpoly.cli import (
     main,
     parse_cells,
     parse_composition,
     polynomial_doc,
+    render_composition,
     render_polynomial,
 )
 from snowpoly.kkohnert import PackedClosure
+from snowpoly.permutations import all_permutations
 from snowpoly.polyring import Polynomial
 
 
@@ -63,6 +65,25 @@ def test_rajcode_goldens(capsys):
     assert out.strip() == "() raj=0"
     _, out, _ = run_cli(capsys, "rajcode", "--cells", "1,3;2,1;2,2;3,3;5,1;5,2")
     assert "(3,3,2,1,2) raj=11" in out
+
+
+def test_rajcode_perm_matches_the_permutation_route_over_s5(capsys):
+    # the CLI reads --perm off the Rothe diagram; permutations.rajcode is the
+    # independent route, and text and --json must be exactly what it gives
+    count = 0
+    for n in range(1, 6):
+        for w in all_permutations(n):
+            code = permutations.rajcode(w, len(w))
+            one_line = "".join(map(str, w))
+            doc = {"kind": "composition", "rajcode": list(code), "raj": sum(code)}
+            assert run_cli(capsys, "rajcode", "--perm", one_line) == (
+                0, f"{render_composition(code)} raj={sum(code)}\n", ""
+            )
+            assert run_cli(capsys, "rajcode", "--perm", one_line, "--json") == (
+                0, json.dumps(doc, indent=2) + "\n", ""
+            )
+            count += 1
+    assert count == 153
 
 
 def test_kkd_count_and_dump(capsys, monkeypatch):

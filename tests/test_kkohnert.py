@@ -132,7 +132,10 @@ def assert_matches_oracle(start):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_packed_closure_matches_the_oracle_on_key_diagrams(n):
     for alpha in enumerate_cn(n):
-        assert_matches_oracle(key_diagram(alpha))
+        start = key_diagram(alpha)
+        # the closure packs the start off its row masks and decodes no cell set
+        assert len(PackedClosure(start)) and start._cells is None
+        assert_matches_oracle(start)
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,6 @@ from snowpoly.polyring import (
     leading_monomial_taillex,
     packed_key,
     swap_action,
-    taillex_key,
     top_component,
 )
 
@@ -450,6 +449,36 @@ def test_top_component_of_lascoux_021():
 
 
 # -- tail-lex order ------------------------------------------------------------------
+
+
+def taillex_key(xexp: tuple[int, ...]):
+    """Oracle sort key for the tail lexicographic order on trimmed exponents,
+    built on tuples, apart from the packed keys that realize it in `polyring`.
+
+    Two exponent vectors are compared at the largest index where they differ.
+    A trimmed vector that is longer wins outright (its last entry is positive
+    against an implicit zero), and equal-length vectors compare reversed.
+    """
+    return (len(xexp), tuple(reversed(xexp)))
+
+
+def test_items_follow_taillex_then_b_exponent():
+    # terms given out of order over several b-layers come out in the
+    # oracle's order, whatever order they were inserted in
+    rng = random.Random(1913)
+    layered = 0
+    for _ in range(200):
+        triples = _random_triples(rng, terms=12)
+        p = Polynomial.from_terms(triples)
+        expected = sorted(
+            {Monomial.make(x, b) for _, x, b in triples if p.coefficient(x, b)},
+            key=lambda m: (taillex_key(m.xexp), m.bexp),
+        )
+        assert list(p.monomials()) == expected
+        assert [m for m, _ in p.items()] == expected
+        assert [c for _, c in p.items()] == [p.coefficient(*m) for m in expected]
+        layered += len({m.bexp for m in expected}) > 1
+    assert layered > 100
 
 
 def test_leading_monomial_examples():
