@@ -69,6 +69,7 @@ from .schubert import (
     key_polynomial,
     lascoux,
     schubert_polynomial,
+    snowy_top_lascoux,
     top_grothendieck,
     top_lascoux,
     vhat_basis,

@@ -32,6 +32,16 @@ class GhostDiagram:
         object.__setattr__(self, "solid", solid)
         object.__setattr__(self, "ghosts", ghosts)
 
+    @classmethod
+    def _trusted(cls, solid: Iterable[Cell], ghosts: Iterable[Cell]) -> "GhostDiagram":
+        """A diagram the library decoded itself, from cells in the positive
+        quadrant with no position both solid and ghost, without the checks
+        of the public constructor."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "solid", frozenset(solid))
+        object.__setattr__(g, "ghosts", frozenset(ghosts))
+        return g
+
     @property
     def cells(self) -> frozenset[Cell]:
         """All occupied positions, ghost or not."""
@@ -143,7 +153,7 @@ class PackedClosure:
 
         board = (1 << ghost_shift) - 1
         return frozenset(
-            GhostDiagram(cells(state & board), cells(state >> ghost_shift))
+            GhostDiagram._trusted(cells(state & board), cells(state >> ghost_shift))
             for state in self.keys
         )
 
@@ -235,7 +245,7 @@ def witness_diagram(sd: SnowDiagram) -> GhostDiagram:
             raise ArithmeticError(
                 f"lifting {alpha} at dark cloud {(r, c)} left a gap right of column {c}"
             )
-    return GhostDiagram(solid, ghosts)
+    return GhostDiagram._trusted(solid, ghosts)
 
 
 def _left_justified_beyond(cells: set[Cell], col: int) -> bool:

@@ -7,6 +7,7 @@ by q-exponent, with trailing zeros trimmed.
 
 from __future__ import annotations
 
+from math import inf
 from operator import add
 from typing import Callable, Iterable
 
@@ -132,15 +133,11 @@ def gr_stat(rook: RookDiagram, n: int) -> int:
     """Unmarked staircase cells after each rook marks its column upward and
     its row leftward. The marks of a rook inside the staircase never leave
     it, so this is n(n-1)/2 - nw_stat(rook); the set-marking count is an
-    oracle in tests/test_qbell.py. Raises ValueError for two attacking
-    cells, as RookDiagram does."""
+    oracle in tests/test_qbell.py. Raises ValueError for a rook outside the
+    staircase of size n, or for two attacking cells, as RookDiagram does."""
     if n < 1:
         raise ValueError("staircase size must be positive")
-    if not isinstance(rook, RookDiagram):
-        rook = RookDiagram(rook)
-    if any(c > n - r for r, c in rook):
-        raise ValueError(f"rook diagram is not contained in the staircase of size {n}")
-    return n * (n - 1) // 2 - nw_stat(rook)
+    return n * (n - 1) // 2 - _nw_count(rook, n)
 
 
 def nw_stat(rook: RookDiagram) -> int:
@@ -154,11 +151,20 @@ def nw_stat(rook: RookDiagram) -> int:
     columns of the rooks above. Raises ValueError for two attacking cells,
     as RookDiagram does.
     """
+    return _nw_count(rook, inf)
+
+
+def _nw_count(rook: RookDiagram, n: float) -> int:
+    """nw_stat(rook) in one walk over the rooks, which also checks that each
+    lies in the staircase of size n: rook (r, c) does when r + c - 1 < n."""
     if not isinstance(rook, RookDiagram):
         rook = RookDiagram(rook)
     total = used = 0
     for r, c in rook:  # sorted by row
-        total += r + c - 1 - (used >> (c + 1)).bit_count()
+        marks = r + c - 1
+        if marks >= n:
+            raise ValueError(f"rook diagram is not contained in the staircase of size {n}")
+        total += marks - (used >> (c + 1)).bit_count()
         used |= 1 << c
     return total
 

@@ -4,19 +4,24 @@ their top-degree components, and basis expansions of the spanned spaces.
 Both recursions walk the box C_n of weak compositions: the Lascoux
 recursion on alpha itself, the Grothendieck recursion on the inversion code
 c of w, and the codes of S_n are exactly C_n. At the first ascent i of the
-composition (its i-th entry below the next) one `_ascent_step` climbs from a
-parent: s_i alpha for L_alpha, and s_i c raised by one at entry i, the code
-of w s_i, for G_w. C_n is closed under both parent rules. The base case is
-x^alpha at a weakly decreasing composition: a partition for L_alpha, and
-for G_w a dominant (132-avoiding) permutation, whose Rothe diagram is a
-Young diagram. s_{n-1} in S_n takes n - 2 steps, not C(n, 2) - 1 as a climb
-to the longest element would.
+composition (its i-th entry below the next) one `_ascent_step` climbs from
+the parent that `_ascent` names: s_i alpha for L_alpha, and s_i c raised by
+one at entry i, the code of w s_i, for G_w. C_n is closed under both parent
+rules. The base case is x^alpha at a weakly decreasing composition: a
+partition for L_alpha, and for G_w a dominant (132-avoiding) permutation,
+whose Rothe diagram is a Young diagram. s_{n-1} in S_n takes n - 2 steps,
+not C(n, 2) - 1 as a climb to the longest element would.
+`verify.suite_recursions` checks the divided-difference identity on every
+step of both recursions over a box.
 
-Both recursions are memoized on trimmed compositions; cached values are
-immutable polynomials, so concurrent lookups can at worst recompute an
-identical value. The top layers are read off these polynomials;
-`verify.suite_top_las` checks that the snowy ones satisfy their own ascent
-recursion.
+The snowy top Lascoux polynomials, the basis of the top span, have a
+b-free recursion of their own on the Lascoux parents, `snowy_top_lascoux`;
+`verify.suite_top_las` checks it against the top layer of the full
+polynomial, which `top_lascoux` reads off for any alpha.
+
+All three recursions are memoized on trimmed compositions; cached values
+are immutable polynomials, so concurrent lookups can at worst recompute an
+identical value.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .compositions import (
     Composition,
     enumerate_snowy_cn,
     in_cn,
-    s_action,
+    is_snowy,
     snowy_from_rajcode,
 )
 from .permutations import Permutation, all_permutations, is_inverse_fireworks
@@ -39,6 +44,7 @@ from .polyring import (
     ascent_product,
     beta_component,
     bottom_leading_term,
+    demazure,
     divided_difference,
     packed_key,
     top_component,
@@ -59,12 +65,11 @@ def grothendieck(w: Iterable[int]) -> Polynomial:
 
 @lru_cache(maxsize=None)
 def _grothendieck(code: Composition) -> Polynomial:
-    i = _first_ascent(code)
-    if i is None:
+    step = _ascent(code)
+    if step is None:
         return Polynomial.x_monomial(code)
-    parent = list(s_action(code, i))
-    parent[i - 1] += 1
-    return _ascent_step(_grothendieck(tuple(parent)), i)
+    i, parent = step
+    return _ascent_step(_grothendieck(parent), i)
 
 
 def schubert_polynomial(w: Iterable[int]) -> Polynomial:
@@ -84,26 +89,33 @@ def lascoux(alpha: Iterable[int]) -> Polynomial:
 
 @lru_cache(maxsize=None)
 def _lascoux(alpha: Composition) -> Polynomial:
-    ascent = _first_ascent(alpha)
-    if ascent is None:
+    step = _ascent(alpha, lascoux=True)
+    if step is None:
         return Polynomial.x_monomial(alpha)
-    return _ascent_step(_lascoux(s_action(alpha, ascent)), ascent, lascoux=True)
+    i, parent = step
+    return _ascent_step(_lascoux(parent), i, lascoux=True)
 
 
 def _ascent_step(f: Polynomial, i: int, lascoux: bool = False) -> Polynomial:
     """One step of either recursion: the divided difference at i of
     (1 + b x_{i+1}) f for Grothendieck, and the Demazure operator at i of it,
     that is the divided difference of x_i (1 + b x_{i+1}) f, for Lascoux. The
-    product is built on packed keys; the divided difference is checked."""
+    product is built on packed keys. No step checks itself here:
+    `verify.suite_recursions` checks the identity on every step of a box."""
     return divided_difference(ascent_product(f, i, raise_i=lascoux), i)
 
 
-def _first_ascent(seq: tuple[int, ...]) -> int | None:
-    """The first i (1-based) with seq[i - 1] < seq[i], or None when seq is
-    weakly decreasing."""
-    for k in range(len(seq) - 1):
-        if seq[k] < seq[k + 1]:
-            return k + 1
+def _ascent(c: Composition, lascoux: bool = False) -> tuple[int, Composition] | None:
+    """(i, parent) for the step that builds the family member at c: i is the
+    first ascent of c (1-based, c_i < c_{i+1}), and the parent is s_i c for
+    Lascoux, or s_i c raised by one at entry i for Grothendieck. None when c
+    is weakly decreasing, where the member is x^c."""
+    for k in range(len(c) - 1):
+        a, b = c[k], c[k + 1]
+        if a < b:
+            parent = c[:k] + (b if lascoux else b + 1, a) + c[k + 2 :]
+            # c is trimmed, so only a swapped-in last entry can be zero
+            return k + 1, parent if parent[-1] else parent[:-1]
     return None
 
 
@@ -117,6 +129,27 @@ def top_lascoux(alpha: Iterable[int]) -> Polynomial:
     return top_component(lascoux(alpha))[1]
 
 
+def snowy_top_lascoux(alpha: Iterable[int]) -> Polynomial:
+    """The top layer of L_alpha for a snowy alpha, by its own b-free
+    recursion: x^alpha when alpha has no ascent, and otherwise
+    demazure(x_{i+1} * snowy_top_lascoux(s_i alpha), i) at the first ascent
+    i, where s_i alpha is snowy too. No full Lascoux polynomial is built.
+    Raises ValueError when alpha is not snowy."""
+    alpha = compositions.canonical(alpha)
+    if not is_snowy(alpha):
+        raise ValueError(f"{alpha} is not snowy: its positive entries repeat")
+    return _snowy_top(alpha)
+
+
+@lru_cache(maxsize=None)
+def _snowy_top(alpha: Composition) -> Polynomial:
+    step = _ascent(alpha, lascoux=True)
+    if step is None:
+        return Polynomial.x_monomial(alpha)
+    i, parent = step
+    return demazure(Polynomial.x(i + 1) * _snowy_top(parent), i)
+
+
 # -- basis expansions ---------------------------------------------------------
 
 
@@ -124,8 +157,8 @@ def expand_top_into_snowy_basis(f: Polynomial, n: int) -> dict[Composition, int]
     """Expand a member of the top span into the snowy top Lascoux basis.
 
     Runs `_eliminate`: each pivot x^m must be the rajcode of a snowy
-    composition alpha in the box for n, and top_lascoux(alpha) has leading
-    monomial x^m with coefficient one. Raises ValueError when no basis
+    composition alpha in the box for n, and snowy_top_lascoux(alpha) has
+    leading monomial x^m with coefficient one. Raises ValueError when no basis
     element matches, which signals that f lies outside the span.
     """
     if f.beta_degree() > 0:
@@ -138,7 +171,7 @@ def expand_top_into_snowy_basis(f: Polynomial, n: int) -> dict[Composition, int]
             raise ValueError(f"leading monomial {code} matches no snowy basis element") from None
         if not in_cn(alpha, n):
             raise ValueError(f"basis element {alpha} falls outside the box for n={n}")
-        return alpha, top_lascoux(alpha)
+        return alpha, snowy_top_lascoux(alpha)
 
     return {alpha: layer[0] for alpha, layer in _eliminate(f, basis, "top layer").items()}
 

@@ -10,10 +10,10 @@ is the number of items the check covered; every check states it. run_suite
 alone turns them into CheckResults: it times each check from the previous
 yield and fails a check whose count is zero, so no suite passes on an
 empty set. A suite's default scale is its function's default argument:
-psw, top-las and expansions default to n = 7, all 5,040 permutations of
-S_7 or compositions of the box C_7, and kkohnert to the 720 compositions
-of C_6. psw and top-las need a scale of at least 2: S_1 and C_1 have one
-element each, so no pair to compare.
+psw, top-las, recursions and expansions default to n = 7, all 5,040
+permutations of S_7 or compositions of the box C_7, and kkohnert to the
+720 compositions of C_6. psw and top-las need a scale of at least 2: S_1
+and C_1 have one element each, so no pair to compare.
 """
 
 from __future__ import annotations
@@ -28,7 +28,13 @@ from .diagrams import key_diagram, rothe_diagram
 from .goldens import GROTHENDIECK_S4, LASCOUX_C4
 from .kkohnert import PackedClosure, witness_diagram
 from .permutations import all_permutations, is_inverse_fireworks, lis_lengths, schensted
-from .polyring import Polynomial, demazure, leading_monomial_taillex, top_component
+from .polyring import (
+    Polynomial,
+    ascent_product,
+    check_divided_difference,
+    leading_monomial_taillex,
+    top_component,
+)
 
 
 @dataclass
@@ -148,10 +154,8 @@ def suite_psw(scale: int = 7) -> Iterator[Check]:
 
 def suite_top_las(scale: int = 7) -> Iterator[Check]:
     """The same statements for top Lascoux polynomials over the box, and the
-    ascent recursion for the snowy ones: top_lascoux(alpha) is x^alpha when
-    alpha has no ascent, and otherwise demazure(x_{i+1} * top_lascoux(s_i
-    alpha), i) at its first ascent i. s_i alpha is snowy and in the box, so
-    one step per snowy alpha checks the whole recursion there."""
+    two routes to the snowy ones: the top layer of the full polynomial, and
+    the b-free recursion of `schubert.snowy_top_lascoux`."""
     tops, snowy = yield from _top_layer_checks(
         enumerate_cn(scale),
         schubert.top_lascoux,
@@ -160,20 +164,44 @@ def suite_top_las(scale: int = 7) -> Iterator[Check]:
         "compositions",
         "snowy",
     )
-
-    def recursion_holds(alpha) -> bool:
-        i = schubert._first_ascent(alpha)
-        if i is None:
-            return tops[alpha] == Polynomial.x_monomial(alpha)
-        step = demazure(Polynomial.x(i + 1) * tops[compositions.s_action(alpha, i)], i)
-        return tops[alpha] == step
-
     yield (
         "snowy top recursion agrees",
-        all(recursion_holds(a) for a in snowy),
+        all(schubert.snowy_top_lascoux(a) == tops[a] for a in snowy),
         f"{len(snowy)} snowy compositions",
         len(snowy),
     )
+
+
+def suite_recursions(scale: int = 7) -> Iterator[Check]:
+    """Every step of both memoized recursions over the box C_n: the member
+    at a weakly decreasing composition c is x^c, and at any other c it is
+    the divided difference at i of the ascent product of its parent, for
+    the i and parent that `schubert._ascent` names, checked by
+    `check_divided_difference`. Each check counts every composition."""
+    comps = enumerate_cn(scale)
+    for family, member, lascoux in [
+        ("Grothendieck", schubert._grothendieck, False),
+        ("Lascoux", schubert._lascoux, True),
+    ]:
+        bad = steps = 0
+        for c in comps:
+            f = member(c)
+            step = schubert._ascent(c, lascoux)
+            if step is None:
+                bad += f != Polynomial.x_monomial(c)
+                continue
+            steps += 1
+            i, parent = step
+            try:
+                check_divided_difference(ascent_product(member(parent), i, raise_i=lascoux), i, f)
+            except ArithmeticError:
+                bad += 1
+        yield (
+            f"{family} ascent steps satisfy the divided-difference identity",
+            bad == 0,
+            f"{len(comps)} compositions, {steps} ascent steps",
+            len(comps),
+        )
 
 
 def suite_kkohnert(scale: int = 6) -> Iterator[Check]:
@@ -311,7 +339,7 @@ def suite_expansions(scale: int = 7) -> Iterator[Check]:
         scale,
         expand_top,
         lambda alpha, c: c > 0 and is_snowy(alpha),
-        schubert.top_lascoux,
+        schubert.snowy_top_lascoux,
     )
     full_n = min(scale, 4)
 
@@ -332,6 +360,7 @@ SUITES = {
     "rajcode-equiv": suite_rajcode_equiv,
     "psw": suite_psw,
     "top-las": suite_top_las,
+    "recursions": suite_recursions,
     "kkohnert": suite_kkohnert,
     "shadow": suite_shadow,
     "qbell": suite_qbell,

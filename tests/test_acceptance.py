@@ -220,3 +220,15 @@ def test_criterion_13_operator_algebra():
             assert schubert.grothendieck(w) == groth_w0_route(w, memo, max)
         for alpha in enumerate_cn(4):
             assert schubert.lascoux(alpha) == lascoux_largest_ascent(alpha)
+        assert_suite(
+            "recursions",
+            6,
+            {
+                "Grothendieck ascent steps satisfy the divided-difference identity": (
+                    "720 compositions, 588 ascent steps"
+                ),
+                "Lascoux ascent steps satisfy the divided-difference identity": (
+                    "720 compositions, 588 ascent steps"
+                ),
+            },
+        )

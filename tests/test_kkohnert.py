@@ -312,3 +312,24 @@ def test_ghost_diagram_validation():
         GhostDiagram({(1, 1)}, {(1, 1)})
     with pytest.raises(ValueError):
         GhostDiagram({(0, 1)})
+
+
+def test_decoded_diagrams_equal_the_validated_construction():
+    # PackedClosure.diagrams and witness_diagram build their diagrams
+    # without the public checks; each must equal the checked construction
+    count = 0
+    for alpha in enumerate_cn(4):
+        start = key_diagram(alpha)
+        built = [*PackedClosure(start).diagrams(), witness_diagram(snow(start))]
+        for g in built:
+            checked = GhostDiagram(g.solid, g.ghosts)
+            assert g == checked and hash(g) == hash(checked)
+            assert type(g.solid) is type(g.ghosts) is frozenset
+            count += 1
+    assert count > len(enumerate_cn(4))
+    with pytest.raises(ValueError, match="positive quadrant"):
+        GhostDiagram({(1, 0)})
+    with pytest.raises(ValueError, match="both solid and ghost"):
+        GhostDiagram({(2, 1)}, {(2, 1)})
+    with pytest.raises(ValueError, match="integers"):
+        GhostDiagram({(1.5, 1)})

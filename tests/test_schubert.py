@@ -27,6 +27,7 @@ from snowpoly.schubert import (
     key_polynomial,
     lascoux,
     schubert_polynomial,
+    snowy_top_lascoux,
     top_grothendieck,
     top_lascoux,
     vhat_basis,
@@ -123,6 +124,23 @@ def test_parent_code_is_s_i_code_raised_at_i_over_s7():
     assert steps == 5913 - (1 + 2 + 5 + 14 + 42 + 132 + 429)
 
 
+def test_ascent_names_the_parent_rules_over_c7():
+    # schubert._ascent swaps entries in place; the reference is s_action, and
+    # for Grothendieck the swapped-in entry i raised by one (the test above)
+    steps = 0
+    for c in enumerate_cn(7):
+        i = next((k + 1 for k in range(len(c) - 1) if c[k] < c[k + 1]), None)
+        for lascoux_rule in (True, False):
+            if i is None:
+                assert schubert._ascent(c, lascoux_rule) is None, c
+                continue
+            parent = list(s_action(c, i))
+            parent[i - 1] += not lascoux_rule
+            assert schubert._ascent(c, lascoux_rule) == (i, tuple(parent)), c
+            steps += 1
+    assert steps == 2 * 4611
+
+
 def test_grothendieck_of_simple_transpositions_closed_form():
     # G(s_k) = (prod_{i<=k} (1 + b x_i) - 1) / b: b^(|S|-1) x^S for each nonempty S
     for k in range(1, 13):
@@ -189,6 +207,79 @@ def test_top_las_suite_catches_a_wrong_snowy_top_layer(monkeypatch, alpha):
     )
     results = {r.name: r.passed for r in run_suite("top-las", 4)}
     assert results["snowy top recursion agrees"] is False
+
+
+def test_snowy_top_recursion_examples():
+    assert snowy_top_lascoux((0, 2, 0)) == poly_of((1, (2, 1), 0), (1, (1, 2), 0))
+    assert snowy_top_lascoux([3, 1, 0]) == poly_of((1, (3, 1), 0))
+    assert snowy_top_lascoux(()) == ONE
+    for alpha in [(1, 1), (0, 2, 2)]:
+        with pytest.raises(ValueError, match="not snowy"):
+            snowy_top_lascoux(alpha)
+
+
+def test_snowy_expansion_builds_no_lascoux_polynomial():
+    schubert._snowy_top.cache_clear()
+    tops = [(w, top_grothendieck(w)) for w in all_permutations(5)]
+    before = _lascoux.cache_info()
+    for w, top in tops:
+        assert expand_top_into_snowy_basis(top, 5)
+    assert _lascoux.cache_info() == before
+    assert schubert._snowy_top.cache_info().currsize > 0
+
+
+def _clear_memos():
+    for memo in (_grothendieck, _lascoux, schubert._snowy_top):
+        memo.cache_clear()
+
+
+def test_recursions_suite_catches_a_wrong_divided_difference(monkeypatch):
+    # one stray term in every divided difference of both recursions
+    stray = Polynomial.x_monomial((0, 0, 0, 9))
+    real = schubert.divided_difference
+    monkeypatch.setattr(schubert, "divided_difference", lambda f, i: real(f, i) + stray)
+    _clear_memos()
+    try:
+        results = run_suite("recursions", 4)
+    finally:
+        monkeypatch.undo()
+        _clear_memos()
+    assert [(r.passed, r.detail) for r in results] == [
+        (False, "24 compositions, 10 ascent steps")
+    ] * 2
+    assert all(r.passed for r in run_suite("recursions", 4))
+
+
+STRAY_SCRIPT = """
+import sys
+from snowpoly import cli, schubert
+from snowpoly.polyring import Polynomial
+
+real = schubert.divided_difference
+stray = Polynomial.x_monomial((0, 0, 0, 9))
+schubert.divided_difference = lambda f, i: real(f, i) + stray
+sys.exit(cli.main(["verify", "recursions", "4"]))
+"""
+
+
+def test_recursions_suite_fails_under_optimize():
+    # the suite raises no assertion, so `python -O` cannot skip its check
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", STRAY_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == [
+        "[FAIL] Grothendieck ascent steps satisfy the divided-difference identity",
+        "[FAIL] Lascoux ascent steps satisfy the divided-difference identity",
+    ]
+    assert lines[2:] == ["0/2 checks passed"]
 
 
 def test_ascent_choice_independence():
@@ -427,7 +518,7 @@ def _double(fn):
 def test_stalled_elimination_raises(monkeypatch):
     # a basis element whose pivot coefficient is 2 leaves the pivot in place
     monkeypatch.setattr(schubert, "lascoux", _double(schubert.lascoux))
-    monkeypatch.setattr(schubert, "top_lascoux", _double(schubert.top_lascoux))
+    monkeypatch.setattr(schubert, "snowy_top_lascoux", _double(schubert.snowy_top_lascoux))
     with pytest.raises(ArithmeticError, match="stalled at step 2"):
         expand_grothendieck_into_lascoux((2, 1, 4, 3), 4)
     with pytest.raises(ArithmeticError, match="stalled at step 2"):
@@ -437,7 +528,7 @@ def test_stalled_elimination_raises(monkeypatch):
 STALL_SCRIPT = """
 from snowpoly import schubert
 schubert.lascoux = lambda alpha, f=schubert.lascoux: 2 * f(alpha)
-schubert.top_lascoux = lambda alpha, f=schubert.top_lascoux: 2 * f(alpha)
+schubert.snowy_top_lascoux = lambda alpha, f=schubert.snowy_top_lascoux: 2 * f(alpha)
 for expand in (
     lambda: schubert.expand_grothendieck_into_lascoux((2, 1, 4, 3), 4),
     lambda: schubert.expand_top_into_snowy_basis(schubert.top_grothendieck((1, 4, 3, 2)), 4),
@@ -463,6 +554,18 @@ def test_stalled_elimination_raises_under_optimize():
     lines = proc.stdout.splitlines()
     assert len(lines) == 2
     assert all("stalled at step 2" in line for line in lines)
+
+
+def test_snowy_top_memo_keeps_no_patched_value(monkeypatch):
+    # the stall tests double the public wrapper; the memo under it must
+    # still hold the true top layers afterwards
+    schubert._snowy_top.cache_clear()
+    monkeypatch.setattr(schubert, "snowy_top_lascoux", _double(schubert.snowy_top_lascoux))
+    with pytest.raises(ArithmeticError, match="stalled at step 2"):
+        expand_top_into_snowy_basis(top_grothendieck((1, 4, 3, 2)), 4)
+    monkeypatch.undo()
+    for alpha in (a for a in enumerate_cn(4) if is_snowy(a)):
+        assert snowy_top_lascoux(alpha) == top_lascoux(alpha), alpha
 
 
 def test_grothendieck_pivots_have_x_degree_length_plus_b(monkeypatch):
