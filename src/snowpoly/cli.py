@@ -2,7 +2,8 @@
 
 Subcommands expose every computation with plain-text output and an
 optional canonical JSON document (--json). Exit codes: 0 on success, 1 on
-verification failure, 2 on usage or parse errors.
+verification failure, 2 on usage or parse errors and when a computation
+runs out of memory.
 """
 
 from __future__ import annotations
@@ -336,6 +337,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (ValueError, KeyError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:
+        print("error: out of memory" + (f": {err}" if str(err) else ""), file=sys.stderr)
         return 2
 
 

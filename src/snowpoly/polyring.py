@@ -22,7 +22,9 @@ b-degree is at most C(n, 2) = 120.
 speak in `Monomial(xexp, bexp)`, a view built on demand. Keys leave this
 module only through `packed_key` and `tally`, for code that moves a
 monomial by adding keys, as the K-Kohnert closure does; the layout stays
-here. Every value is immutable and every operation is a pure function.
+here. Every value is immutable and every operation is a pure function,
+except `Remainder`, the working copy that greedy elimination updates in
+place.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
+from heapq import heapify, heappop, heappush
 from operator import or_
 from typing import Iterable, Iterator, NamedTuple
 
@@ -229,7 +232,15 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self + -other
+        terms = dict(self._terms)
+        get = terms.get
+        for key, coeff in other._terms.items():
+            c = get(key, 0) - coeff
+            if c:
+                terms[key] = c
+            else:
+                del terms[key]
+        return _of(terms)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, int):
@@ -270,10 +281,11 @@ def divided_difference(f: Polynomial, i: int) -> Polynomial:
     Computed termwise by the telescoping rule: a monomial with x_i-exponent a
     and x_{i+1}-exponent b > a contributes -sum_{j=a}^{b-1} x_i^j x_{i+1}^(a+b-1-j)
     times the rest, and symmetrically with sign +1 when a > b. Every exponent
-    written stays below max(a, b), so no field can overflow. No rational
-    arithmetic is ever needed. `check_divided_difference` tests a result
-    against the defining quotient; `verify.suite_recursions` runs it on
-    every ascent step of both recursions.
+    written stays below max(a, b), so no field can overflow. Each term writes
+    its first output term at once and walks on only when |a - b| > 1, so the
+    common span of one costs no loop. No rational arithmetic is ever needed.
+    `check_divided_difference` tests a result against the defining quotient;
+    `verify.suite_recursions` runs it on every ascent step of both recursions.
     """
     if i < 1:
         raise ValueError("index must be positive")
@@ -289,12 +301,15 @@ def divided_difference(f: Polynomial, i: int) -> Polynomial:
         lo, hi, signed = (b, a, coeff) if a > b else (a, b, -coeff)
         # the first term x_i^lo x_{i+1}^(a+b-1-lo); each next one adds step
         new = key + ((lo - a) << shift) + ((a - 1 - lo) << (shift + _WIDTH))
-        for _ in range(lo, hi):
+        while True:
             c = get(new, 0) + signed
             if c:
                 terms[new] = c
             else:
                 del terms[new]
+            lo += 1
+            if lo == hi:
+                break
             new += step
     return _of(terms)
 
@@ -381,25 +396,6 @@ def top_component(f: Polynomial) -> tuple[int, Polynomial]:
     return d, beta_component(f, d)
 
 
-def bottom_leading_term(f: Polynomial) -> tuple[int, Monomial, int]:
-    """The tail-lex leading term of the lowest b-layer of f, as (b-exponent,
-    monomial of that layer, coefficient), found in one pass over the keys."""
-    if f.is_zero():
-        raise ValueError("bottom layer of the zero polynomial is undefined")
-    keys = iter(f._terms)
-    best = next(keys)
-    d = best & _MASK
-    for key in keys:
-        b = key & _MASK
-        if b <= d:
-            # within one layer, integer order of keys is tail-lex order
-            if b < d:
-                d, best = b, key
-            elif key > best:
-                best = key
-    return d, _view(best - d), f._terms[best]
-
-
 def leading_monomial_taillex(f: Polynomial) -> tuple[Monomial, int]:
     """Tail-lex maximal monomial of a pure x-polynomial, with its coefficient."""
     if f.is_zero():
@@ -409,3 +405,64 @@ def leading_monomial_taillex(f: Polynomial) -> tuple[Monomial, int]:
     # higher indices sit in higher bits, so on b-free keys integer order is tail-lex
     key = max(f._terms)
     return _view(key), f._terms[key]
+
+
+class Remainder:
+    """The working copy of a greedy elimination: a private term dict that
+    `subtract` updates in place, with a lazy min-heap of (b-exponent, -key)
+    entries, so `pivot` finds the tail-lex leading term of the lowest
+    b-layer without a scan of the terms.
+
+    Every live key has an entry in the heap. An entry whose key has since
+    cancelled is stale, and `pivot` drops it when it reaches the top; a key
+    that cancels and comes back gets a second entry, which is harmless.
+    """
+
+    __slots__ = ("_terms", "_heap")
+
+    def __init__(self, f: Polynomial):
+        self._terms = dict(f._terms)
+        self._heap = [(k & _MASK, -k) for k in self._terms]
+        heapify(self._heap)
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def pivot(self) -> tuple[int, Monomial, int]:
+        """The tail-lex leading term of the lowest b-layer, as (b-exponent,
+        monomial of that layer, coefficient), of a nonzero remainder. Its
+        entry stays on the heap, so a pivot that survives `subtract` is found
+        again."""
+        terms, heap = self._terms, self._heap
+        while -heap[0][1] not in terms:
+            heappop(heap)
+        d, key = heap[0]
+        return d, _view(-key - d), terms[-key]
+
+    def subtract(self, coeff: int, d: int, f: Polynomial) -> None:
+        """Subtract coeff * b^d * f in place, for a nonzero coeff and the
+        b-exponent d of a pivot, adding d to each key of f and pushing only
+        the keys this creates. Raises OverflowError when a b-exponent would
+        reach 128; the remainder is then left part-way and must be dropped."""
+        terms = self._terms
+        get = terms.get
+        created = []
+        for key, c in f._terms.items():
+            key += d
+            old = get(key)
+            if old is None:
+                terms[key] = -coeff * c
+                created.append(key)
+            else:
+                c = old - coeff * c
+                if c:
+                    terms[key] = c
+                else:
+                    del terms[key]
+        # the b-fields of f and d are below 128, so their sum sets no bit
+        # beyond the b-field's guard, and only a created key can set it
+        if reduce(or_, created, 0) & _LIMIT:
+            raise OverflowError(f"elimination reaches a b-exponent above {_LIMIT - 1}")
+        heap = self._heap
+        for key in created:
+            heappush(heap, (key & _MASK, -key))

@@ -41,9 +41,9 @@ from .permutations import Permutation, all_permutations, is_inverse_fireworks
 from .polyring import (
     Monomial,
     Polynomial,
+    Remainder,
     ascent_product,
     beta_component,
-    bottom_leading_term,
     demazure,
     divided_difference,
     packed_key,
@@ -156,9 +156,10 @@ def _snowy_top(alpha: Composition) -> Polynomial:
 def expand_top_into_snowy_basis(f: Polynomial, n: int) -> dict[Composition, int]:
     """Expand a member of the top span into the snowy top Lascoux basis.
 
-    Runs `_eliminate`: each pivot x^m must be the rajcode of a snowy
-    composition alpha in the box for n, and snowy_top_lascoux(alpha) has
-    leading monomial x^m with coefficient one. Raises ValueError when no basis
+    Runs `_eliminate` on a private copy of f, so f is left as it was: each
+    pivot x^m must be the rajcode of a snowy composition alpha in the box
+    for n, and snowy_top_lascoux(alpha) has leading monomial x^m with
+    coefficient one. Raises ValueError when no basis
     element matches, which signals that f lies outside the span.
     """
     if f.beta_degree() > 0:
@@ -181,8 +182,10 @@ def expand_grothendieck_into_lascoux(
 ) -> dict[Composition, Polynomial]:
     """Coefficients g_alpha(b) with grothendieck(w) = sum g_alpha * lascoux(alpha).
 
-    Runs `_eliminate`: a pivot b^d x^alpha is matched with lascoux(alpha),
-    whose lowest layer is the key polynomial with leading monomial x^alpha.
+    Runs `_eliminate` on a private copy of grothendieck(w), so the memoized
+    value is left as it was: a pivot b^d x^alpha is matched with
+    lascoux(alpha), whose lowest layer is the key polynomial with leading
+    monomial x^alpha.
     The elimination stops only on a zero remainder, so the coefficients
     rebuild grothendieck(w) exactly; `verify.suite_expansions` rebuilds it
     independently. Raises ValueError when n is below len(w), before any
@@ -207,24 +210,28 @@ def expand_grothendieck_into_lascoux(
     return out
 
 
-def _select_pivot(remainder: Polynomial) -> tuple[int, Monomial, int]:
+def _select_pivot(remainder: Remainder) -> tuple[int, Monomial, int]:
     """Pivot term: the tail-lex leading term of the lowest b-layer, as
-    (b-exponent, monomial of that layer, coefficient)."""
-    return bottom_leading_term(remainder)
+    (b-exponent, monomial of that layer, coefficient), read off the
+    remainder's heap."""
+    return remainder.pivot()
 
 
 def _eliminate(target: Polynomial, basis, name) -> dict[Composition, dict[int, int]]:
     """Greedy triangular elimination, shared by both expansions; returns
     {alpha: {d: c}}.
 
-    Each step takes the pivot c * b^d * x^m of the remainder, asks basis(m)
-    for the index alpha and an element whose pivot is x^m with coefficient
-    one, and subtracts c * b^d * element. A pivot must lie in a higher
-    b-layer than the one before, or in the same layer and be tail-lex
-    smaller; otherwise, or past _EXPANSION_STEP_CAP steps, ArithmeticError
-    names the step."""
+    The remainder is one private `Remainder` copy of target, changed in
+    place. Each step takes the pivot c * b^d * x^m of the remainder, asks
+    basis(m) for the index alpha and an element whose pivot is x^m with
+    coefficient one, and subtracts c * b^d * element, which touches only
+    the element's terms. A pivot must lie in a higher b-layer than the one
+    before, or in the same layer and be tail-lex smaller; otherwise, or
+    past _EXPANSION_STEP_CAP steps, ArithmeticError names the step. A
+    shifted element term whose b-exponent would reach 128 raises
+    OverflowError."""
     coeffs: dict[Composition, dict[int, int]] = {}
-    remainder = target
+    remainder = Remainder(target)
     last = None
     steps = 0
     while remainder:
@@ -243,7 +250,7 @@ def _eliminate(target: Polynomial, basis, name) -> dict[Composition, dict[int, i
         last = order
         alpha, element = basis(mono.xexp)
         coeffs.setdefault(alpha, {})[d] = coeff
-        remainder = remainder + Polynomial.term(-coeff, (), d) * element
+        remainder.subtract(coeff, d, element)
     return coeffs
 
 

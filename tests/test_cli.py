@@ -282,6 +282,16 @@ def test_parse_errors_exit_2(capsys):
         assert exc.value.code == 2, argv
 
 
+def test_memory_error_exits_2(capsys, monkeypatch):
+    # a computation too large for memory ends in one error line, not a traceback
+    def exhausted(n):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.qbell, "hilb_vn", exhausted)
+    code, out, err = run_cli(capsys, "hilb", "3")
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
 def test_parse_helpers():
     assert parse_composition("0,2,1") == (0, 2, 1)
     assert parse_composition("") == ()

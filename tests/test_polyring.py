@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snowpoly import schubert
 from snowpoly.polyring import (
     Monomial,
     Polynomial,
+    Remainder,
     ascent_product,
     beta_component,
-    bottom_leading_term,
     check_divided_difference,
     demazure,
     divided_difference,
@@ -130,6 +131,15 @@ def test_product_matches_naive_reference(ftriples, gtriples):
     assert g * f == f * g
 
 
+@settings(max_examples=100, deadline=None)
+@given(_TRIPLES, _TRIPLES)
+def test_subtraction_is_addition_of_the_negative(ftriples, gtriples):
+    f = Polynomial.from_terms((c, tuple(x), b) for c, x, b in ftriples)
+    g = Polynomial.from_terms((c, tuple(x), b) for c, x, b in gtriples)
+    assert f - g == f + (-g)
+    assert len(f - f) == 0
+
+
 # -- field limits ------------------------------------------------------------------
 
 
@@ -172,6 +182,7 @@ OVERFLOWS = [
     lambda: ascent_product(Polynomial.x_monomial((0, 127)), 1),
     lambda: ascent_product(Polynomial.term(1, (), 127), 1),
     lambda: ascent_product(Polynomial.x_monomial((127,)), 1, True),
+    lambda: Remainder(B).subtract(1, 100, X1 + poly_of((1, (1, 1), 28))),
 ]
 
 
@@ -420,26 +431,54 @@ def test_top_component_examples():
         top_component(Polynomial.zero())
 
 
+def bottom_leading_term(f: Polynomial) -> tuple[int, Monomial, int]:
+    """Oracle pivot of the greedy elimination, apart from the heap that
+    `Remainder.pivot` keeps: copy out the lowest b-layer of f and take its
+    tail-lex leading term, as (b-exponent, monomial of that layer,
+    coefficient)."""
+    if f.is_zero():
+        raise ValueError("bottom layer of the zero polynomial is undefined")
+    d = min(m.bexp for m in f.monomials())
+    return (d, *leading_monomial_taillex(beta_component(f, d)))
+
+
 def test_bottom_leading_term_examples():
     groth_1324 = X1 + X2 + poly_of((1, (1, 1), 1))
-    assert bottom_leading_term(groth_1324) == (0, Monomial((0, 1), 0), 1)
     mixed = poly_of((4, (1, 1), 2), (2, (1,), 1), (-1, (0, 3), 1), (1, (), 3))
-    assert bottom_leading_term(mixed) == (1, Monomial((0, 3), 0), -1)
-    assert bottom_leading_term(B * B) == (2, Monomial((), 0), 1)
     mono = poly_of((1, (3, 2, 1), 0))
-    assert bottom_leading_term(mono) == (0, Monomial((3, 2, 1), 0), 1)
+    for f, pivot in [
+        (groth_1324, (0, Monomial((0, 1), 0), 1)),
+        (mixed, (1, Monomial((0, 3), 0), -1)),
+        (B * B, (2, Monomial((), 0), 1)),
+        (mono, (0, Monomial((3, 2, 1), 0), 1)),
+    ]:
+        assert bottom_leading_term(f) == pivot
+        assert schubert._select_pivot(Remainder(f)) == pivot
     with pytest.raises(ValueError):
         bottom_leading_term(Polynomial.zero())
 
 
 @settings(max_examples=100, deadline=None)
-@given(_TRIPLES)
-def test_bottom_leading_term_matches_layer_copy(triples):
-    # oracle: copy out the lowest b-layer, then take its tail-lex leading term
+@given(_TRIPLES, st.lists(_TRIPLES, max_size=6))
+def test_bottom_leading_term_matches_heap_pivots(triples, tails):
+    # the heap-driven pivot of a remainder changed in place agrees with the
+    # oracle at every step. A step subtracts pivot * (x^m + tail): keys
+    # cancel, come back and appear, and a pivot whose coefficient in the
+    # element is not one survives its step. Then the remainder is drained
+    # term by term, so every term it holds is checked.
     f = Polynomial.from_terms((c, tuple(x), b) for c, x, b in triples)
-    if f:
-        d = min(m.bexp for m in f.monomials())
-        assert bottom_leading_term(f) == (d, *leading_monomial_taillex(beta_component(f, d)))
+    remainder = Remainder(f)
+    tails = iter(tails)
+    while f:
+        d, mono, coeff = schubert._select_pivot(remainder)
+        assert (d, mono, coeff) == bottom_leading_term(f)
+        tail = next(tails, ())
+        element = Polynomial.x_monomial(mono.xexp) + Polynomial.from_terms(
+            (c, tuple(x), b) for c, x, b in tail
+        )
+        remainder.subtract(coeff, d, element)
+        f = f - Polynomial.term(coeff, (), d) * element
+        assert bool(remainder) == bool(f)
 
 
 def test_top_component_of_lascoux_021():

@@ -33,6 +33,7 @@ from snowpoly.schubert import (
     vhat_basis,
 )
 from snowpoly.verify import run_suite
+from tests.test_polyring import bottom_leading_term, taillex_key
 
 ONE = Polynomial.one()
 B = Polynomial.beta()
@@ -582,6 +583,66 @@ def test_grothendieck_pivots_have_x_degree_length_plus_b(monkeypatch):
         pivots.clear()
         expand_grothendieck_into_lascoux(w, 5)
         assert {sum(m.xexp) - d for d, m, _ in pivots} == {sum(permutations.invcode(w))}
+
+
+def eliminate_by_copy(target, basis, name):
+    """Oracle for `schubert._eliminate`: the copy-per-step greedy
+    elimination. Each step finds the pivot with the oracle
+    `bottom_leading_term` and rebuilds the whole remainder by polynomial
+    arithmetic, remainder + (-c * b^d) * element."""
+    coeffs = {}
+    remainder = target
+    last = None
+    while remainder:
+        d, mono, coeff = bottom_leading_term(remainder)
+        order = (-d, taillex_key(mono.xexp))
+        assert last is None or order < last, f"{name} stalled at {order}"
+        last = order
+        alpha, element = basis(mono.xexp)
+        coeffs.setdefault(alpha, {})[d] = coeff
+        remainder = remainder + Polynomial.term(-coeff, (), d) * element
+    return coeffs
+
+
+def _both_expansions(ws):
+    out = []
+    for w in ws:
+        n = max(len(w), 1)
+        out.append((expand_grothendieck_into_lascoux(w, n),
+                    expand_top_into_snowy_basis(top_grothendieck(w), n)))
+    return out
+
+
+def test_expansions_agree_with_copy_per_step_elimination(monkeypatch):
+    ws = [*all_permutations(5), (4, 3, 2, 1, 8, 5, 7, 6)]
+    in_place = _both_expansions(ws)
+    monkeypatch.setattr(schubert, "_eliminate", eliminate_by_copy)
+    assert _both_expansions(ws) == in_place
+    assert sum(len(g) for g in in_place[-1][0].values()) == 197
+
+
+def test_elimination_past_b_exponent_127_raises():
+    # the pivot b^100 x1 meets an element with a b^28 term, which would
+    # land at b^128: no packed key holds it, as no product may build it
+    target = Polynomial.term(1, (1,), 100)
+    element = Polynomial.x(1) + Polynomial.term(1, (1, 1), 28)
+    for eliminate in (schubert._eliminate, eliminate_by_copy):
+        with pytest.raises(OverflowError):
+            eliminate(target, lambda m: (m, element), "b^100 x1")
+
+
+def test_expansions_leave_their_inputs_unchanged():
+    # the elimination changes a private copy in place; the memoized G_w and
+    # the top layer handed in keep their values
+    for w in list(all_permutations(6))[::45]:
+        top = top_grothendieck(w)
+        top_before = Polynomial(top.items())
+        expand_top_into_snowy_basis(top, 6)
+        expand_grothendieck_into_lascoux(w, 6)
+        assert top == top_before
+        cached = grothendieck(w)
+        _grothendieck.cache_clear()
+        assert cached == grothendieck(w), w
 
 
 # -- bases ---------------------------------------------------------------------------
