@@ -19,9 +19,12 @@ b-free recursion of their own on the Lascoux parents, `snowy_top_lascoux`;
 `verify.suite_top_las` checks it against the top layer of the full
 polynomial, which `top_lascoux` reads off for any alpha.
 
-All three recursions are memoized on trimmed compositions; cached values
-are immutable polynomials, so concurrent lookups can at worst recompute an
-identical value.
+All three recursions are memoized on trimmed compositions, and
+`clear_caches` empties their memos; cached values are immutable
+polynomials, so concurrent lookups can at worst recompute an identical
+value. Every step of the three is one call of
+`polyring.divided_difference` with its factor: 1 + b x_{i+1},
+x_i (1 + b x_{i+1}) or x_i x_{i+1}.
 """
 
 from __future__ import annotations
@@ -42,9 +45,7 @@ from .polyring import (
     Monomial,
     Polynomial,
     Remainder,
-    ascent_product,
     beta_component,
-    demazure,
     divided_difference,
     packed_key,
     top_component,
@@ -99,10 +100,26 @@ def _lascoux(alpha: Composition) -> Polynomial:
 def _ascent_step(f: Polynomial, i: int, lascoux: bool = False) -> Polynomial:
     """One step of either recursion: the divided difference at i of
     (1 + b x_{i+1}) f for Grothendieck, and the Demazure operator at i of it,
-    that is the divided difference of x_i (1 + b x_{i+1}) f, for Lascoux. The
-    product is built on packed keys. No step checks itself here:
-    `verify.suite_recursions` checks the identity on every step of a box."""
-    return divided_difference(ascent_product(f, i, raise_i=lascoux), i)
+    that is the divided difference of x_i (1 + b x_{i+1}) f, for Lascoux.
+    `divided_difference` takes the factor and never builds the product. No
+    step checks itself here: `verify.suite_recursions` checks the identity
+    on every step of a box against `polyring.ascent_product`."""
+    return divided_difference(f, i, _step_factor(i, "lascoux" if lascoux else "grothendieck"))
+
+
+@lru_cache(maxsize=None)
+def _step_factor(i: int, kind: str) -> Polynomial:
+    """The factor one step at i hands to `divided_difference`: 1 + b x_{i+1}
+    for Grothendieck, x_i (1 + b x_{i+1}) for Lascoux and x_i x_{i+1} for
+    the snowy top. At most three per index are ever built."""
+    low = (0,) * (i - 1)
+    return Polynomial.from_terms(
+        {
+            "grothendieck": [(1, (), 0), (1, low + (0, 1), 1)],
+            "lascoux": [(1, low + (1,), 0), (1, low + (1, 1), 1)],
+            "snowy": [(1, low + (1, 1), 0)],
+        }[kind]
+    )
 
 
 def _ascent(c: Composition, lascoux: bool = False) -> tuple[int, Composition] | None:
@@ -143,11 +160,23 @@ def snowy_top_lascoux(alpha: Iterable[int]) -> Polynomial:
 
 @lru_cache(maxsize=None)
 def _snowy_top(alpha: Composition) -> Polynomial:
+    """The memo under `snowy_top_lascoux`: each step is one divided
+    difference at i of x_i x_{i+1} times the parent's top layer, the
+    Demazure operator at i of x_{i+1} times it, with the factor handed to
+    `divided_difference` rather than multiplied in."""
     step = _ascent(alpha, lascoux=True)
     if step is None:
         return Polynomial.x_monomial(alpha)
     i, parent = step
-    return demazure(Polynomial.x(i + 1) * _snowy_top(parent), i)
+    return divided_difference(_snowy_top(parent), i, _step_factor(i, "snowy"))
+
+
+def clear_caches() -> None:
+    """Empty the memos of the three recursions (and the small table of
+    step factors), so that their polynomials can be freed. Later calls
+    recompute identical values."""
+    for memo in (_grothendieck, _lascoux, _snowy_top, _step_factor):
+        memo.cache_clear()
 
 
 # -- basis expansions ---------------------------------------------------------

@@ -182,6 +182,11 @@ OVERFLOWS = [
     lambda: ascent_product(Polynomial.x_monomial((0, 127)), 1),
     lambda: ascent_product(Polynomial.term(1, (), 127), 1),
     lambda: ascent_product(Polynomial.x_monomial((127,)), 1, True),
+    lambda: divided_difference(Polynomial.x_monomial((0, 127)), 1, ONE + B * X2),
+    lambda: divided_difference(Polynomial.term(1, (), 127), 1, ONE + B * X2),
+    lambda: divided_difference(Polynomial.x_monomial((127,)), 1, X1 * (ONE + B * X2)),
+    # the product holds x1 x2 b^128, whose image is zero: only the input shows it
+    lambda: divided_difference(Polynomial.term(1, (1,), 127), 1, ONE + B * X2),
     lambda: Remainder(B).subtract(1, 100, X1 + poly_of((1, (1, 1), 28))),
 ]
 
@@ -190,6 +195,11 @@ def test_overflow_raises_instead_of_carrying():
     for op in OVERFLOWS:
         with pytest.raises(OverflowError):
             op()
+    # the ORs of these exponents reach 127, but no product exponent passes 65
+    high_x = Polynomial.x_monomial((64,)) + Polynomial.x_monomial((63,))
+    high_b = Polynomial.term(1, (), 64) + Polynomial.term(1, (), 63)
+    for f, m in ((high_x, X1), (high_b, B * X2)):
+        assert divided_difference(f, 1, m) == divided_difference(m * f, 1)
 
 
 OVERFLOW_SCRIPT = """
@@ -281,6 +291,43 @@ def test_operators_match_naive_references(triples, i):
     factor = ONE + B * Polynomial.x(i + 1)
     assert ascent_product(f, i) == naive_product(factor, f)
     assert ascent_product(f, i, True) == naive_product(Polynomial.x(i) * factor, f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TRIPLES, st.integers(1, 6))
+def test_divided_difference_takes_its_factor(triples, i):
+    f = Polynomial.from_terms((c, tuple(x), b) for c, x, b in triples)
+    xi, xnext = Polynomial.x(i), Polynomial.x(i + 1)
+    assert divided_difference(f, i, ONE) == divided_difference(f, i)
+    for m in (ONE, xi, xi * xnext, ONE + B * xnext, xi * (ONE + B * xnext)):
+        product = naive_product(m, f)
+        expected = naive_divided_difference(product, i)
+        assert divided_difference(f, i, m) == divided_difference(product, i) == expected
+
+
+def test_divided_difference_factor_holds_only_its_pair_and_b():
+    f = X1 + X2 * X3
+    assert divided_difference(f, 2, B * B * X3 - 3 * X2) == divided_difference(
+        (B * B * X3 - 3 * X2) * f, 2
+    )
+    for i, factor in ((1, X3), (2, X1), (2, ONE + X1 * B), (1, Polynomial.x(40))):
+        with pytest.raises(ValueError, match="factor may hold only"):
+            divided_difference(f, i, factor)
+
+
+def test_operators_reject_an_index_below_one():
+    # at 0, the check would read the b-field as x_0: (x_0 - x_1)(b + x_1)
+    # equals b^2 - s_0 b^2 once x_0 is b
+    for op in (
+        lambda: check_divided_difference(B * B, 0, B + X1),
+        lambda: divided_difference(X1, 0),
+        lambda: divided_difference(X1, 0, X1),
+        lambda: demazure(X1, 0),
+        lambda: swap_action(X1, 0),
+        lambda: ascent_product(X1, 0),
+    ):
+        with pytest.raises(ValueError, match="index must be positive"):
+            op()
 
 
 # -- divided difference ---------------------------------------------------------

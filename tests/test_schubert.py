@@ -220,7 +220,7 @@ def test_snowy_top_recursion_examples():
 
 
 def test_snowy_expansion_builds_no_lascoux_polynomial():
-    schubert._snowy_top.cache_clear()
+    schubert.clear_caches()
     tops = [(w, top_grothendieck(w)) for w in all_permutations(5)]
     before = _lascoux.cache_info()
     for w, top in tops:
@@ -229,22 +229,19 @@ def test_snowy_expansion_builds_no_lascoux_polynomial():
     assert schubert._snowy_top.cache_info().currsize > 0
 
 
-def _clear_memos():
-    for memo in (_grothendieck, _lascoux, schubert._snowy_top):
-        memo.cache_clear()
-
-
 def test_recursions_suite_catches_a_wrong_divided_difference(monkeypatch):
     # one stray term in every divided difference of both recursions
     stray = Polynomial.x_monomial((0, 0, 0, 9))
     real = schubert.divided_difference
-    monkeypatch.setattr(schubert, "divided_difference", lambda f, i: real(f, i) + stray)
-    _clear_memos()
+    monkeypatch.setattr(
+        schubert, "divided_difference", lambda f, i, factor=None: real(f, i, factor) + stray
+    )
+    schubert.clear_caches()
     try:
         results = run_suite("recursions", 4)
     finally:
         monkeypatch.undo()
-        _clear_memos()
+        schubert.clear_caches()
     assert [(r.passed, r.detail) for r in results] == [
         (False, "24 compositions, 10 ascent steps")
     ] * 2
@@ -258,7 +255,7 @@ from snowpoly.polyring import Polynomial
 
 real = schubert.divided_difference
 stray = Polynomial.x_monomial((0, 0, 0, 9))
-schubert.divided_difference = lambda f, i: real(f, i) + stray
+schubert.divided_difference = lambda f, i, factor=None: real(f, i, factor) + stray
 sys.exit(cli.main(["verify", "recursions", "4"]))
 """
 
@@ -294,10 +291,11 @@ def test_ascent_choice_independence():
 def test_caches_replay_fresh_computations():
     sample_w = (2, 4, 1, 3)
     sample_a = (0, 2, 1)
-    before = grothendieck(sample_w), lascoux(sample_a)
-    _grothendieck.cache_clear()
-    _lascoux.cache_clear()
-    assert (grothendieck(sample_w), lascoux(sample_a)) == before
+    before = grothendieck(sample_w), lascoux(sample_a), snowy_top_lascoux(sample_a)
+    schubert.clear_caches()
+    for memo in (_grothendieck, _lascoux, schubert._snowy_top):
+        assert memo.cache_info().currsize == 0
+    assert (grothendieck(sample_w), lascoux(sample_a), snowy_top_lascoux(sample_a)) == before
 
 
 def test_monomial_support_bound():
@@ -560,7 +558,7 @@ def test_stalled_elimination_raises_under_optimize():
 def test_snowy_top_memo_keeps_no_patched_value(monkeypatch):
     # the stall tests double the public wrapper; the memo under it must
     # still hold the true top layers afterwards
-    schubert._snowy_top.cache_clear()
+    schubert.clear_caches()
     monkeypatch.setattr(schubert, "snowy_top_lascoux", _double(schubert.snowy_top_lascoux))
     with pytest.raises(ArithmeticError, match="stalled at step 2"):
         expand_top_into_snowy_basis(top_grothendieck((1, 4, 3, 2)), 4)
@@ -641,7 +639,7 @@ def test_expansions_leave_their_inputs_unchanged():
         expand_grothendieck_into_lascoux(w, 6)
         assert top == top_before
         cached = grothendieck(w)
-        _grothendieck.cache_clear()
+        schubert.clear_caches()
         assert cached == grothendieck(w), w
 
 
