@@ -11,11 +11,10 @@ grading of Grothendieck and Lascoux polynomials.
 
 No carry may ever cross a field. Every stored exponent is at most 127, so
 the top bit of each 8-bit field is a guard: naming a monomial with an
-exponent of 128 or more raises ValueError, and a product, an ascent
-product, or a divided difference or Demazure step whose product would
-reach 128 in any field raises OverflowError. Two guarded fields sum to
-less than 256, so a carry never reaches the next field before the guard
-sees it. 127 is above every
+exponent of 128 or more raises ValueError, and a product, or a divided
+difference or Demazure step whose product would reach 128 in any field,
+raises OverflowError. Two guarded fields sum to less than 256, so a carry
+never reaches the next field before the guard sees it. 127 is above every
 exponent the recursions reach up to S_16: x-exponents stay below n, and the
 b-degree is at most C(n, 2) = 120.
 
@@ -242,15 +241,7 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        terms = dict(self._terms)
-        get = terms.get
-        for key, coeff in other._terms.items():
-            c = get(key, 0) - coeff
-            if c:
-                terms[key] = c
-            else:
-                del terms[key]
-        return _of(terms)
+        return self + -other
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, int):
@@ -306,11 +297,9 @@ def divided_difference(f: Polynomial, i: int, factor: Polynomial | None = None) 
 
     Every key is built by subtracting a positive int from a larger one.
     CPython gives the sum of two multi-digit ints one spare digit, which the
-    stored key keeps for its lifetime, while a difference takes the size of
-    its larger operand, which here is that of the key in all but a few
-    cases. On CPython 3.11 this stores 393,355 of the keys of every G_w over
-    S_7 and L_alpha over C_7 in 32 bytes rather than 36; with no product
-    built either, that sweep peaks at 77 MB rather than 83 MB.
+    stored key keeps for its lifetime, while a difference carries no spare
+    digit: it takes the size of its larger operand, which here is that of
+    the key in all but a few cases.
 
     OverflowError is raised exactly when the product factor * f would raise
     it: when, in some field, the largest exponent of f plus the largest of
@@ -427,34 +416,6 @@ def demazure(f: Polynomial, i: int) -> Polynomial:
     if i < 1:
         raise ValueError("index must be positive")
     return divided_difference(f, i, Polynomial.x(i))
-
-
-def ascent_product(f: Polynomial, i: int, raise_i: bool = False) -> Polynomial:
-    """(1 + b * x_{i+1}) * f, times x_i as well when raise_i: the product
-    whose divided difference one ascent step of the Grothendieck (raise_i
-    false) or Lascoux (raise_i true) recursion takes. The steps pass the
-    factor to `divided_difference` and never build it; this is the product
-    side of the identity that `verify.suite_recursions` checks.
-
-    Built on the keys: each term is copied under its key plus the x_i
-    increment (or zero), and added again under that key plus the increments
-    of x_{i+1} and b. Every field rises by at most one, so an exponent of
-    127 sets a guard bit and raises OverflowError, as the product would.
-    """
-    if i < 1:
-        raise ValueError("index must be positive")
-    up = 1 << (_WIDTH * i) if raise_i else 0
-    shift = up + (1 << (_WIDTH * (i + 1))) + 1
-    terms = {k + up: c for k, c in f._terms.items()}
-    get = terms.get
-    for key, coeff in f._terms.items():
-        key += shift
-        c = get(key, 0) + coeff
-        if c:
-            terms[key] = c
-        else:
-            del terms[key]
-    return _of(_guarded(terms, "ascent product"))
 
 
 def beta_component(f: Polynomial, d: int) -> Polynomial:

@@ -4,7 +4,7 @@ their top-degree components, and basis expansions of the spanned spaces.
 Both recursions walk the box C_n of weak compositions: the Lascoux
 recursion on alpha itself, the Grothendieck recursion on the inversion code
 c of w, and the codes of S_n are exactly C_n. At the first ascent i of the
-composition (its i-th entry below the next) one `_ascent_step` climbs from
+composition (its i-th entry below the next) `_climb` takes one step from
 the parent that `_ascent` names: s_i alpha for L_alpha, and s_i c raised by
 one at entry i, the code of w s_i, for G_w. C_n is closed under both parent
 rules. The base case is x^alpha at a weakly decreasing composition: a
@@ -22,15 +22,15 @@ polynomial, which `top_lascoux` reads off for any alpha.
 All three recursions are memoized on trimmed compositions, and
 `clear_caches` empties their memos; cached values are immutable
 polynomials, so concurrent lookups can at worst recompute an identical
-value. Every step of the three is one call of
-`polyring.divided_difference` with its factor: 1 + b x_{i+1},
-x_i (1 + b x_{i+1}) or x_i x_{i+1}.
+value. The three memos share one body, `_climb`: every step is one call
+of `polyring.divided_difference` with the factor of its kind,
+1 + b x_{i+1}, x_i (1 + b x_{i+1}) or x_i x_{i+1}.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import compositions, permutations
 from .compositions import (
@@ -66,11 +66,7 @@ def grothendieck(w: Iterable[int]) -> Polynomial:
 
 @lru_cache(maxsize=None)
 def _grothendieck(code: Composition) -> Polynomial:
-    step = _ascent(code)
-    if step is None:
-        return Polynomial.x_monomial(code)
-    i, parent = step
-    return _ascent_step(_grothendieck(parent), i)
+    return _climb(code, "grothendieck", _grothendieck)
 
 
 def schubert_polynomial(w: Iterable[int]) -> Polynomial:
@@ -90,21 +86,26 @@ def lascoux(alpha: Iterable[int]) -> Polynomial:
 
 @lru_cache(maxsize=None)
 def _lascoux(alpha: Composition) -> Polynomial:
-    step = _ascent(alpha, lascoux=True)
+    return _climb(alpha, "lascoux", _lascoux)
+
+
+def _climb(c: Composition, kind: str, memo: Callable[[Composition], Polynomial]) -> Polynomial:
+    """The member of a family at c, for any of the three recursions: x^c
+    when c has no ascent, and otherwise the divided difference at the first
+    ascent i of `_step_factor(i, kind)` times memo(parent), for the i and
+    parent that `_ascent` names. `divided_difference` takes the factor and
+    never builds the product. No step checks itself here:
+    `verify.suite_recursions` checks the identity on every step of a box.
+
+    Each memo passes itself by its module-level name, looked up when it
+    runs, so a wrapper installed under that name (perfbench's tracer) and
+    the memo's `cache_info()` see every level of the climb, not only the
+    first call."""
+    step = _ascent(c, kind)
     if step is None:
-        return Polynomial.x_monomial(alpha)
+        return Polynomial.x_monomial(c)
     i, parent = step
-    return _ascent_step(_lascoux(parent), i, lascoux=True)
-
-
-def _ascent_step(f: Polynomial, i: int, lascoux: bool = False) -> Polynomial:
-    """One step of either recursion: the divided difference at i of
-    (1 + b x_{i+1}) f for Grothendieck, and the Demazure operator at i of it,
-    that is the divided difference of x_i (1 + b x_{i+1}) f, for Lascoux.
-    `divided_difference` takes the factor and never builds the product. No
-    step checks itself here: `verify.suite_recursions` checks the identity
-    on every step of a box against `polyring.ascent_product`."""
-    return divided_difference(f, i, _step_factor(i, "lascoux" if lascoux else "grothendieck"))
+    return divided_difference(memo(parent), i, _step_factor(i, kind))
 
 
 @lru_cache(maxsize=None)
@@ -122,15 +123,16 @@ def _step_factor(i: int, kind: str) -> Polynomial:
     )
 
 
-def _ascent(c: Composition, lascoux: bool = False) -> tuple[int, Composition] | None:
-    """(i, parent) for the step that builds the family member at c: i is the
-    first ascent of c (1-based, c_i < c_{i+1}), and the parent is s_i c for
-    Lascoux, or s_i c raised by one at entry i for Grothendieck. None when c
-    is weakly decreasing, where the member is x^c."""
+def _ascent(c: Composition, kind: str) -> tuple[int, Composition] | None:
+    """(i, parent) for the step that builds the family member at c, for the
+    kind that `_step_factor` takes: i is the first ascent of c (1-based,
+    c_i < c_{i+1}), and the parent is s_i c raised by one at entry i for
+    "grothendieck", and s_i c for "lascoux" and "snowy". None when c is
+    weakly decreasing, where the member is x^c."""
     for k in range(len(c) - 1):
         a, b = c[k], c[k + 1]
         if a < b:
-            parent = c[:k] + (b if lascoux else b + 1, a) + c[k + 2 :]
+            parent = c[:k] + (b + 1 if kind == "grothendieck" else b, a) + c[k + 2 :]
             # c is trimmed, so only a swapped-in last entry can be zero
             return k + 1, parent if parent[-1] else parent[:-1]
     return None
@@ -160,15 +162,7 @@ def snowy_top_lascoux(alpha: Iterable[int]) -> Polynomial:
 
 @lru_cache(maxsize=None)
 def _snowy_top(alpha: Composition) -> Polynomial:
-    """The memo under `snowy_top_lascoux`: each step is one divided
-    difference at i of x_i x_{i+1} times the parent's top layer, the
-    Demazure operator at i of x_{i+1} times it, with the factor handed to
-    `divided_difference` rather than multiplied in."""
-    step = _ascent(alpha, lascoux=True)
-    if step is None:
-        return Polynomial.x_monomial(alpha)
-    i, parent = step
-    return divided_difference(_snowy_top(parent), i, _step_factor(i, "snowy"))
+    return _climb(alpha, "snowy", _snowy_top)
 
 
 def clear_caches() -> None:
@@ -242,7 +236,10 @@ def expand_grothendieck_into_lascoux(
 def _select_pivot(remainder: Remainder) -> tuple[int, Monomial, int]:
     """Pivot term: the tail-lex leading term of the lowest b-layer, as
     (b-exponent, monomial of that layer, coefficient), read off the
-    remainder's heap."""
+    remainder's heap. Kept as a named function, called by that name once per
+    step of `_eliminate`, because perfbench's `schubert.pivot` span wraps it
+    by name to count `schubert.expand_full.steps`; inlined, that figure
+    would read 0 without any error."""
     return remainder.pivot()
 
 

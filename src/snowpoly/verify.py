@@ -30,7 +30,6 @@ from .kkohnert import PackedClosure, witness_diagram
 from .permutations import all_permutations, is_inverse_fireworks, lis_lengths, schensted
 from .polyring import (
     Polynomial,
-    ascent_product,
     check_divided_difference,
     leading_monomial_taillex,
     top_component,
@@ -174,26 +173,31 @@ def suite_top_las(scale: int = 7) -> Iterator[Check]:
 
 def suite_recursions(scale: int = 7) -> Iterator[Check]:
     """Every step of both memoized recursions over the box C_n: the member
-    at a weakly decreasing composition c is x^c, and at any other c it is
-    the divided difference at i of the ascent product of its parent, for
-    the i and parent that `schubert._ascent` names, checked by
-    `check_divided_difference`. Each check counts every composition."""
+    at a weakly decreasing composition c is x^c, and at any other c
+    `check_divided_difference` holds between the member and its parent
+    times the step's factor, for the i and parent that `schubert._ascent`
+    names. The factors are spelled here once per index, not read from the
+    recursions, and multiplied with `*`. Each check counts every
+    composition."""
     comps = enumerate_cn(scale)
-    for family, member, lascoux in [
-        ("Grothendieck", schubert._grothendieck, False),
-        ("Lascoux", schubert._lascoux, True),
+    one, b = Polynomial.one(), Polynomial.beta()
+    lift = {i: one + b * Polynomial.x(i + 1) for i in range(1, scale)}
+    raised = {i: Polynomial.x(i) * f for i, f in lift.items()}
+    for family, member, kind, factors in [
+        ("Grothendieck", schubert._grothendieck, "grothendieck", lift),
+        ("Lascoux", schubert._lascoux, "lascoux", raised),
     ]:
         bad = steps = 0
         for c in comps:
             f = member(c)
-            step = schubert._ascent(c, lascoux)
+            step = schubert._ascent(c, kind)
             if step is None:
                 bad += f != Polynomial.x_monomial(c)
                 continue
             steps += 1
             i, parent = step
             try:
-                check_divided_difference(ascent_product(member(parent), i, raise_i=lascoux), i, f)
+                check_divided_difference(factors[i] * member(parent), i, f)
             except ArithmeticError:
                 bad += 1
         yield (

@@ -15,7 +15,6 @@ from snowpoly.polyring import (
     Monomial,
     Polynomial,
     Remainder,
-    ascent_product,
     beta_component,
     check_divided_difference,
     demazure,
@@ -179,9 +178,9 @@ OVERFLOWS = [
     lambda: B * Polynomial.term(1, (), 127),
     lambda: demazure(Polynomial.x_monomial((127,)), 1),
     lambda: _x200(64) * _x200(64),
-    lambda: ascent_product(Polynomial.x_monomial((0, 127)), 1),
-    lambda: ascent_product(Polynomial.term(1, (), 127), 1),
-    lambda: ascent_product(Polynomial.x_monomial((127,)), 1, True),
+    lambda: (ONE + B * X2) * Polynomial.x_monomial((0, 127)),
+    lambda: (ONE + B * X2) * Polynomial.term(1, (), 127),
+    lambda: X1 * (ONE + B * X2) * Polynomial.x_monomial((127,)),
     lambda: divided_difference(Polynomial.x_monomial((0, 127)), 1, ONE + B * X2),
     lambda: divided_difference(Polynomial.term(1, (), 127), 1, ONE + B * X2),
     lambda: divided_difference(Polynomial.x_monomial((127,)), 1, X1 * (ONE + B * X2)),
@@ -288,9 +287,6 @@ def test_operators_match_naive_references(triples, i):
     assert swap_action(f, i) == naive_swap(f, i)
     assert divided_difference(f, i) == naive_divided_difference(f, i)
     assert demazure(f, i) == naive_demazure(f, i)
-    factor = ONE + B * Polynomial.x(i + 1)
-    assert ascent_product(f, i) == naive_product(factor, f)
-    assert ascent_product(f, i, True) == naive_product(Polynomial.x(i) * factor, f)
 
 
 @settings(max_examples=100, deadline=None)
@@ -324,7 +320,6 @@ def test_operators_reject_an_index_below_one():
         lambda: divided_difference(X1, 0, X1),
         lambda: demazure(X1, 0),
         lambda: swap_action(X1, 0),
-        lambda: ascent_product(X1, 0),
     ):
         with pytest.raises(ValueError, match="index must be positive"):
             op()

@@ -127,19 +127,20 @@ def test_parent_code_is_s_i_code_raised_at_i_over_s7():
 
 def test_ascent_names_the_parent_rules_over_c7():
     # schubert._ascent swaps entries in place; the reference is s_action, and
-    # for Grothendieck the swapped-in entry i raised by one (the test above)
+    # for Grothendieck the swapped-in entry i raised by one (the test above);
+    # the snowy top climbs on the Lascoux parents
     steps = 0
     for c in enumerate_cn(7):
         i = next((k + 1 for k in range(len(c) - 1) if c[k] < c[k + 1]), None)
-        for lascoux_rule in (True, False):
+        for kind in ("lascoux", "grothendieck", "snowy"):
             if i is None:
-                assert schubert._ascent(c, lascoux_rule) is None, c
+                assert schubert._ascent(c, kind) is None, c
                 continue
             parent = list(s_action(c, i))
-            parent[i - 1] += not lascoux_rule
-            assert schubert._ascent(c, lascoux_rule) == (i, tuple(parent)), c
+            parent[i - 1] += kind == "grothendieck"
+            assert schubert._ascent(c, kind) == (i, tuple(parent)), c
             steps += 1
-    assert steps == 2 * 4611
+    assert steps == 3 * 4611
 
 
 def test_grothendieck_of_simple_transpositions_closed_form():
@@ -246,6 +247,29 @@ def test_recursions_suite_catches_a_wrong_divided_difference(monkeypatch):
         (False, "24 compositions, 10 ascent steps")
     ] * 2
     assert all(r.passed for r in run_suite("recursions", 4))
+
+
+def test_recursions_suite_spells_its_own_step_factors(monkeypatch):
+    # with the factor x_i alone every Lascoux step is a Demazure step, which
+    # builds the key polynomials; a suite that read the factor from
+    # schubert._step_factor would check that wrong product and pass.
+    # clear_caches clears _step_factor too, so it runs only without the patch
+    schubert.clear_caches()
+    real = schubert._step_factor
+    monkeypatch.setattr(
+        schubert,
+        "_step_factor",
+        lambda i, kind: Polynomial.x(i) if kind == "lascoux" else real(i, kind),
+    )
+    try:
+        results = run_suite("recursions", 4)
+    finally:
+        monkeypatch.undo()
+        schubert.clear_caches()
+    assert [(r.passed, r.detail) for r in results] == [
+        (True, "24 compositions, 10 ascent steps"),
+        (False, "24 compositions, 10 ascent steps"),
+    ]
 
 
 STRAY_SCRIPT = """
