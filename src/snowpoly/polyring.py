@@ -29,11 +29,15 @@ place.
 `divided_difference(f, i, factor)` is the one kernel of every ascent
 step: it computes the divided difference of factor * f, for a factor in
 x_i, x_{i+1} and b, without building the product. The image of a term
-depends only on its exponents of x_i and x_{i+1}, so each call builds one
+depends only on its exponents of x_i and x_{i+1}, so the kernel builds one
 small table of output offsets per distinct pair, and each term forms its
 output keys by subtracting those offsets from its key with both fields
 filled with ones. Keys built by subtraction carry no spare digit; see its
-docstring.
+docstring. A caller that repeats one (i, factor) may keep the tables
+across calls, and may pass a pool {key: key} through which each output
+key is interned on its first insert into the result, so results that
+share the pool share one int per monomial; `schubert` does both for
+every ascent step. A call without them keeps no state.
 """
 
 from __future__ import annotations
@@ -276,7 +280,13 @@ def swap_action(f: Polynomial, i: int) -> Polynomial:
     return _of({_swap(k, i): c for k, c in f._terms.items()})
 
 
-def divided_difference(f: Polynomial, i: int, factor: Polynomial | None = None) -> Polynomial:
+def divided_difference(
+    f: Polynomial,
+    i: int,
+    factor: Polynomial | None = None,
+    tables: dict[int, tuple] | None = None,
+    pool: dict[int, int] | None = None,
+) -> Polynomial:
     """(g - s_i g) / (x_i - x_{i+1}) for g = factor * f, exact by
     antisymmetry, in one pass over f: the product g is never built. factor
     defaults to 1 and may hold only x_i, x_{i+1} and b; any other variable
@@ -301,15 +311,27 @@ def divided_difference(f: Polynomial, i: int, factor: Polynomial | None = None) 
     digit: it takes the size of its larger operand, which here is that of
     the key in all but a few cases.
 
+    A table depends only on (i, factor, pair), so a caller that repeats
+    the same (i, factor) may keep one `tables` dict for it and pass it to
+    every such call; it must never pass it with another index or factor.
+    A caller may also pass a `pool`, a dict {key: key}: an output key is
+    looked up there, and added if absent, on its first insert into the
+    result, and the result stores the pool's object. A later update of a
+    key already in the result keeps the stored object, so every key of the
+    result is the pool's. Results that share a pool then share one int per
+    monomial. Without them, the call uses throwaway dicts and leaves no
+    state behind.
+
     OverflowError is raised exactly when the product factor * f would raise
     it: when, in some field, the largest exponent of f plus the largest of
     factor reaches 128. The leading terms in an order led by that field
     multiply to a term that nothing cancels, even where its image under the
     operator is zero. The image never raises an exponent above those of the
-    product, so it needs no guard of its own. No rational arithmetic is
-    ever needed. `check_divided_difference` tests a result against the
-    defining quotient; `verify.suite_recursions` runs it on every ascent
-    step of both recursions.
+    product, so it needs no guard of its own. The guard reads the keys of
+    f before any table is looked up, so warm tables cannot skip it. No
+    rational arithmetic is ever needed. `check_divided_difference` tests a
+    result against the defining quotient; `verify.suite_recursions` runs it
+    on every ascent step of both recursions.
     """
     if i < 1:
         raise ValueError("index must be positive")
@@ -354,7 +376,9 @@ def divided_difference(f: Polynomial, i: int, factor: Polynomial | None = None) 
                 groups.setdefault(m, []).append(offset)
         return tuple((m, tuple(offsets)) for m, offsets in groups.items())
 
-    tables: dict[int, tuple] = {}
+    if tables is None:
+        tables = {}
+    intern = ({} if pool is None else pool).setdefault
     out: dict[int, int] = {}
     get = out.get
     for key, coeff in terms.items():
@@ -367,11 +391,16 @@ def divided_difference(f: Polynomial, i: int, factor: Polynomial | None = None) 
             signed = coeff * m
             for offset in offsets:
                 new = base - offset
-                c = get(new, 0) + signed
-                if c:
-                    out[new] = c
+                c = get(new)
+                if c is None:
+                    out[intern(new, new)] = signed
                 else:
-                    del out[new]
+                    # assigning to a present key keeps the stored key object
+                    c += signed
+                    if c:
+                        out[new] = c
+                    else:
+                        del out[new]
     return _of(out)
 
 

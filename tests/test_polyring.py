@@ -173,6 +173,14 @@ def _x200(e):
     return Polynomial.x_monomial((0,) * 199 + (e,))
 
 
+def _warm_step(f):
+    """The Grothendieck step at 1 on f, after a call on x1 + x2^2 has built
+    the tables of the pairs (1, 0) and (0, 2) and filled the pool."""
+    factor, tables, pool = ONE + B * X2, {}, {}
+    divided_difference(X1 + X2 * X2, 1, factor, tables, pool)
+    return divided_difference(f, 1, factor, tables, pool)
+
+
 OVERFLOWS = [
     lambda: Polynomial.x_monomial((64,)) * Polynomial.x_monomial((64,)),
     lambda: B * Polynomial.term(1, (), 127),
@@ -186,6 +194,8 @@ OVERFLOWS = [
     lambda: divided_difference(Polynomial.x_monomial((127,)), 1, X1 * (ONE + B * X2)),
     # the product holds x1 x2 b^128, whose image is zero: only the input shows it
     lambda: divided_difference(Polynomial.term(1, (1,), 127), 1, ONE + B * X2),
+    # the same with the pair's table warm: the guard reads f before any table
+    lambda: _warm_step(Polynomial.term(1, (1,), 127)),
     lambda: Remainder(B).subtract(1, 100, X1 + poly_of((1, (1, 1), 28))),
 ]
 
@@ -299,6 +309,23 @@ def test_divided_difference_takes_its_factor(triples, i):
         product = naive_product(m, f)
         expected = naive_divided_difference(product, i)
         assert divided_difference(f, i, m) == divided_difference(product, i) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_TRIPLES, min_size=1, max_size=6), st.integers(1, 6), st.integers(0, 4))
+def test_divided_difference_keeps_tables_and_pool_across_calls(batch, i, which):
+    # one (i, factor) keeps its tables and pool over many calls, as every
+    # ascent step does: each call equals a fresh one and the oracle, and
+    # every output key is the pool's object
+    xi, xnext = Polynomial.x(i), Polynomial.x(i + 1)
+    factor = (ONE, xi, xi * xnext, ONE + B * xnext, xi * (ONE + B * xnext))[which]
+    tables, pool = {}, {}
+    for triples in batch:
+        f = Polynomial.from_terms((c, tuple(x), b) for c, x, b in triples)
+        kept = divided_difference(f, i, factor, tables, pool)
+        expected = naive_divided_difference(naive_product(factor, f), i)
+        assert kept == divided_difference(f, i, factor) == expected
+        assert all(pool[k] is k for k in kept._terms)
 
 
 def test_divided_difference_factor_holds_only_its_pair_and_b():

@@ -235,7 +235,9 @@ def test_recursions_suite_catches_a_wrong_divided_difference(monkeypatch):
     stray = Polynomial.x_monomial((0, 0, 0, 9))
     real = schubert.divided_difference
     monkeypatch.setattr(
-        schubert, "divided_difference", lambda f, i, factor=None: real(f, i, factor) + stray
+        schubert,
+        "divided_difference",
+        lambda f, i, factor=None, tables=None, pool=None: real(f, i, factor, tables, pool) + stray,
     )
     schubert.clear_caches()
     try:
@@ -259,7 +261,7 @@ def test_recursions_suite_spells_its_own_step_factors(monkeypatch):
     monkeypatch.setattr(
         schubert,
         "_step_factor",
-        lambda i, kind: Polynomial.x(i) if kind == "lascoux" else real(i, kind),
+        lambda i, kind: (Polynomial.x(i), {}) if kind == "lascoux" else real(i, kind),
     )
     try:
         results = run_suite("recursions", 4)
@@ -279,7 +281,9 @@ from snowpoly.polyring import Polynomial
 
 real = schubert.divided_difference
 stray = Polynomial.x_monomial((0, 0, 0, 9))
-schubert.divided_difference = lambda f, i, factor=None: real(f, i, factor) + stray
+schubert.divided_difference = (
+    lambda f, i, factor=None, tables=None, pool=None: real(f, i, factor, tables, pool) + stray
+)
 sys.exit(cli.main(["verify", "recursions", "4"]))
 """
 
@@ -316,10 +320,43 @@ def test_caches_replay_fresh_computations():
     sample_w = (2, 4, 1, 3)
     sample_a = (0, 2, 1)
     before = grothendieck(sample_w), lascoux(sample_a), snowy_top_lascoux(sample_a)
+    assert schubert._KEY_POOL
     schubert.clear_caches()
-    for memo in (_grothendieck, _lascoux, schubert._snowy_top):
+    for memo in (_grothendieck, _lascoux, schubert._snowy_top, schubert._step_factor):
         assert memo.cache_info().currsize == 0
-    assert (grothendieck(sample_w), lascoux(sample_a), snowy_top_lascoux(sample_a)) == before
+    assert not schubert._KEY_POOL
+    after = grothendieck(sample_w), lascoux(sample_a), snowy_top_lascoux(sample_a)
+    assert after == before
+    assert [sorted(f._terms.items()) for f in after] == [sorted(f._terms.items()) for f in before]
+
+
+def test_memos_share_one_key_object_per_monomial():
+    # a memory guard: every step interns its output keys in one pool, so
+    # only the base cases x^c hold key objects of their own
+    schubert.clear_caches()
+    members = [
+        (memo(c), schubert._ascent(c, kind) is None)
+        for memo, kind in ((_grothendieck, "grothendieck"), (_lascoux, "lascoux"))
+        for c in enumerate_cn(6)
+    ]
+    keys = [k for f, _ in members for k in f._terms]
+    bases = sum(base for _, base in members)
+    assert (len(keys), len(set(keys)), bases) == (28_984, 2_508, 264)
+    assert len({id(k) for k in keys}) <= 2_508 + bases
+    pool = schubert._KEY_POOL
+    assert all(pool[k] is k for f, base in members if not base for k in f._terms)
+    # a call that passes no tables or pool leaves the shared ones untouched,
+    # though it needs tables and keys that they do not hold
+    factor, tables = schubert._step_factor(4, "lascoux")
+    held, before = dict(tables), dict(pool)
+    f = lascoux((0, 3, 1, 2)) * Polynomial.x(5)
+    out = divided_difference(f, 4, factor)
+    assert out == divided_difference(factor * f, 4)
+    assert demazure(f, 4) == divided_difference(Polynomial.x(4) * f, 4)
+    assert (tables, pool) == (held, before)
+    assert not out._terms.keys() <= pool.keys()
+    assert divided_difference(f, 4, factor, tables) == out
+    assert len(tables) > len(held)
 
 
 def test_monomial_support_bound():
