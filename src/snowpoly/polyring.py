@@ -1,13 +1,21 @@
 """Exact sparse polynomials in x1, x2, ... with the degree marker b.
 
-Coefficients are arbitrary-precision Python integers. Inside `Polynomial`
-each term is stored under one packed integer key: the b-exponent sits in
-bits [0, 8) and the exponent of x_i in bits [8i, 8i + 8), so higher indices
-sit in higher bits and two monomials are equal exactly when their keys are.
-The product of two monomials is the sum of their keys, and integer order
-of keys is tail-lex order on x, then b: the one term order, in which
-`items` and `monomials` yield. The marker b records the inhomogeneous
-grading of Grothendieck and Lascoux polynomials.
+Coefficients are arbitrary-precision Python integers. Each monomial is
+named by one packed integer key: the b-exponent sits in bits [0, 8) and
+the exponent of x_i in bits [8i, 8i + 8), so higher indices sit in higher
+bits and two monomials are equal exactly when their keys are. The product
+of two monomials is the sum of their keys, and integer order of keys is
+tail-lex order on x, then b: the one term order, in which `items` and
+`monomials` yield. The marker b records the inhomogeneous grading of
+Grothendieck and Lascoux polynomials.
+
+A `Polynomial` stores its terms as two tuples, `_keys` and `_coeffs`, one
+entry per term, in the order the terms were inserted and not sorted: 16
+bytes a term beside the two tuple headers, where a dict spends about 40.
+Equality and hashing do not depend on that order. Every operation builds
+its result in a private working dict and freezes it once, at the end, in
+`_of`; an operation that keeps the keys or the coefficients, such as
+negation or `swap_action`, shares the other tuple unchanged.
 
 No carry may ever cross a field. Every stored exponent is at most 127, so
 the top bit of each 8-bit field is a guard: naming a monomial with an
@@ -34,10 +42,11 @@ small table of output offsets per distinct pair, and each term forms its
 output keys by subtracting those offsets from its key with both fields
 filled with ones. Keys built by subtraction carry no spare digit; see its
 docstring. A caller that repeats one (i, factor) may keep the tables
-across calls, and may pass a pool {key: key} through which each output
-key is interned on its first insert into the result, so results that
-share the pool share one int per monomial; `schubert` does both for
-every ascent step. A call without them keeps no state.
+across calls, and may pass a pool {key: key} through which the result's
+keys are interned when it is frozen, so results that share the pool share
+one int per monomial and the pool holds only keys that some result kept;
+`schubert` does both for every ascent step. A call without them keeps no
+state.
 """
 
 from __future__ import annotations
@@ -46,6 +55,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
+from itertools import repeat
 from operator import or_
 from typing import Iterable, Iterator, NamedTuple
 
@@ -74,7 +84,7 @@ def tally(keys: Iterable[int]) -> "Polynomial":
     that step from a valid `packed_key` by one increment per field at a
     time, every step tallied, set a guard bit at 128 before any carry can
     cross into the next field."""
-    return _of(_guarded(dict(Counter(keys)), "tally"))
+    return _of(_guarded(Counter(keys), "tally"))
 
 
 def _guarded(terms: dict, op: str) -> dict:
@@ -118,18 +128,29 @@ def _view(key: int) -> Monomial:
     return tuple.__new__(Monomial, (tuple(xexp), bexp))
 
 
-def _of(terms: dict) -> "Polynomial":
-    """Wrap a term dict without copying it; its keys must be valid packed
-    keys and its coefficients nonzero."""
+def _of(terms: dict, pool: dict[int, int] | None = None) -> "Polynomial":
+    """Freeze a working term dict into a Polynomial; its keys must be valid
+    packed keys and its coefficients nonzero. With a pool {key: key}, each
+    key is looked up there, and added if absent, and the result stores the
+    pool's object."""
+    keys = tuple(terms) if pool is None else tuple(map(pool.setdefault, terms, terms))
+    return _frozen(keys, tuple(terms.values()))
+
+
+def _frozen(keys: tuple, coeffs: tuple) -> "Polynomial":
+    """Wrap two tuples without copying them: distinct valid packed keys and
+    their nonzero coefficients, in matching order."""
     out = object.__new__(Polynomial)
-    out._terms = terms
+    out._keys = keys
+    out._coeffs = coeffs
     return out
 
 
 class Polynomial:
-    """Immutable sparse polynomial: a map from packed monomial key to nonzero int."""
+    """Immutable sparse polynomial: distinct packed monomial keys and their
+    nonzero int coefficients, as two tuples in matching order."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_keys", "_coeffs")
 
     def __init__(self, terms=None):
         clean: dict[int, int] = {}
@@ -142,27 +163,28 @@ class Polynomial:
                         clean[key] = c
                     else:
                         del clean[key]
-        self._terms = clean
+        self._keys = tuple(clean)
+        self._coeffs = tuple(clean.values())
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "Polynomial":
-        return _of({})
+        return _frozen((), ())
 
     @classmethod
     def one(cls) -> "Polynomial":
-        return _of({0: 1})
+        return _frozen((0,), (1,))
 
     @classmethod
     def x(cls, i: int) -> "Polynomial":
         if i < 1:
             raise ValueError("variable index must be positive")
-        return _of({1 << (_WIDTH * i): 1})
+        return _frozen((1 << (_WIDTH * i),), (1,))
 
     @classmethod
     def beta(cls) -> "Polynomial":
-        return _of({1: 1})
+        return _frozen((1,), (1,))
 
     @classmethod
     def term(cls, coeff: int, xexp: Iterable[int] = (), bexp: int = 0) -> "Polynomial":
@@ -183,42 +205,56 @@ class Polynomial:
     def items(self) -> Iterator[tuple[Monomial, int]]:
         """The terms in canonical order: ascending key, that is tail-lex on
         the x-exponents, then ascending b-exponent."""
-        return ((_view(k), c) for k, c in sorted(self._terms.items()))
+        return ((_view(k), c) for k, c in sorted(zip(self._keys, self._coeffs)))
 
     def monomials(self) -> Iterator[Monomial]:
         """The monomials in the canonical order of `items`."""
-        return map(_view, sorted(self._terms))
+        return map(_view, sorted(self._keys))
 
     def coefficient(self, xexp: Iterable[int] = (), bexp: int = 0) -> int:
-        return self._terms.get(packed_key(xexp, bexp), 0)
+        key = packed_key(xexp, bexp)
+        try:
+            return self._coeffs[self._keys.index(key)]
+        except ValueError:
+            return 0
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._keys
 
     def beta_degree(self) -> int:
         """Largest b-exponent present; -1 for the zero polynomial."""
-        return max((k & _MASK for k in self._terms), default=-1)
+        return max((k & _MASK for k in self._keys), default=-1)
 
     def ray(self) -> frozenset:
         """Normal form under scaling by a nonzero rational: each term's
         coefficient divided by the one at the least key. f.ray() == g.ray()
         exactly when f = c * g for some rational c != 0, or both are zero."""
-        if not self._terms:
+        keys = self._keys
+        if not keys:
             return frozenset()
-        c0 = self._terms[min(self._terms)]
-        return frozenset((k, Fraction(c, c0)) for k, c in self._terms.items())
+        c0 = self._coeffs[keys.index(min(keys))]
+        return frozenset(zip(keys, map(Fraction, self._coeffs, repeat(c0))))
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._keys)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._keys)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self._terms == other._terms
+        if not isinstance(other, Polynomial):
+            return False
+        if self._keys == other._keys:
+            return self._coeffs == other._coeffs
+        # the keys are distinct, so equal lengths and every key of other
+        # found in self with its coefficient make the term sets equal
+        if len(self._keys) != len(other._keys):
+            return False
+        lookup = dict(zip(self._keys, self._coeffs)).get
+        return tuple(map(lookup, other._keys)) == other._coeffs
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash(frozenset(zip(self._keys, self._coeffs)))
 
     def __repr__(self) -> str:
         parts = [f"{c}*x^{m.xexp}*b^{m.bexp}" for m, c in self.items()]
@@ -229,9 +265,12 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        terms = dict(self._terms)
+        # the working dict starts from the longer operand, and the shorter
+        # one is merged term by term
+        big, small = (self, other) if len(self._keys) >= len(other._keys) else (other, self)
+        terms = dict(zip(big._keys, big._coeffs))
         get = terms.get
-        for key, coeff in other._terms.items():
+        for key, coeff in zip(small._keys, small._coeffs):
             c = get(key, 0) + coeff
             if c:
                 terms[key] = c
@@ -240,7 +279,7 @@ class Polynomial:
         return _of(terms)
 
     def __neg__(self) -> "Polynomial":
-        return _of({k: -c for k, c in self._terms.items()})
+        return _frozen(self._keys, tuple([-c for c in self._coeffs]))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -254,9 +293,9 @@ class Polynomial:
             return NotImplemented
         terms: dict[int, int] = {}
         get = terms.get
-        right = other._terms.items()
-        for ka, ca in self._terms.items():
-            for kb, cb in right:
+        right_keys, right_coeffs = other._keys, other._coeffs
+        for ka, ca in zip(self._keys, self._coeffs):
+            for kb, cb in zip(right_keys, right_coeffs):
                 key = ka + kb
                 c = get(key, 0) + ca * cb
                 if c:
@@ -270,14 +309,14 @@ class Polynomial:
     def scale(self, c: int) -> "Polynomial":
         if c == 0:
             return Polynomial.zero()
-        return _of({k: c * v for k, v in self._terms.items()})
+        return _frozen(self._keys, tuple([c * v for v in self._coeffs]))
 
 
 def swap_action(f: Polynomial, i: int) -> Polynomial:
     """Apply the variable swap x_i <-> x_{i+1}; b is untouched."""
     if i < 1:
         raise ValueError("index must be positive")
-    return _of({_swap(k, i): c for k, c in f._terms.items()})
+    return _frozen(tuple([_swap(k, i) for k in f._keys]), f._coeffs)
 
 
 def divided_difference(
@@ -314,13 +353,13 @@ def divided_difference(
     A table depends only on (i, factor, pair), so a caller that repeats
     the same (i, factor) may keep one `tables` dict for it and pass it to
     every such call; it must never pass it with another index or factor.
-    A caller may also pass a `pool`, a dict {key: key}: an output key is
-    looked up there, and added if absent, on its first insert into the
-    result, and the result stores the pool's object. A later update of a
-    key already in the result keeps the stored object, so every key of the
-    result is the pool's. Results that share a pool then share one int per
-    monomial. Without them, the call uses throwaway dicts and leaves no
-    state behind.
+    A caller may also pass a `pool`, a dict {key: key}. The terms are
+    summed in a private dict and frozen once, after the last term of f:
+    only then is each surviving key looked up in the pool, and added if
+    absent, and the result stores the pool's object. Results that share a
+    pool then share one int per monomial, and a key whose coefficient
+    cancelled never reaches the pool. Without them, the call uses a
+    throwaway tables dict and leaves no state behind.
 
     OverflowError is raised exactly when the product factor * f would raise
     it: when, in some field, the largest exponent of f plus the largest of
@@ -337,26 +376,27 @@ def divided_difference(
         raise ValueError("index must be positive")
     shift = _WIDTH * i
     ceiling = ((1 << (2 * _WIDTH)) - 1) << shift  # also the mask of the pair's fields
-    factor_terms = {0: 1} if factor is None else factor._terms
-    factor_seen = reduce(or_, factor_terms, 0)
+    factor_keys, factor_coeffs = ((0,), (1,)) if factor is None else (factor._keys, factor._coeffs)
+    factor_seen = reduce(or_, factor_keys, 0)
     if factor_seen & ~(ceiling | _MASK):
         raise ValueError(f"the factor may hold only x_{i}, x_{i + 1} and b")
-    terms = f._terms
+    keys = f._keys
     # the ORs of the keys bound each field's largest exponent from above, and
     # their fields add without a carry; the exact maxima are read only when
     # that bound reaches the guard bit of b, x_i or x_{i+1}
     guards = ((_LIMIT << _WIDTH | _LIMIT) << shift) | _LIMIT
-    if (reduce(or_, terms, 0) + factor_seen) & guards:
+    if (reduce(or_, keys, 0) + factor_seen) & guards:
         for s in (0, shift, shift + _WIDTH):
-            top = max((k >> s) & _MASK for k in factor_terms)
-            if max((k >> s) & _MASK for k in terms) + top >= _LIMIT:
+            top = max((k >> s) & _MASK for k in factor_keys)
+            if max((k >> s) & _MASK for k in keys) + top >= _LIMIT:
                 raise OverflowError(
                     f"divided difference of a product reaches an exponent above {_LIMIT - 1}"
                 )
     up_i = 1 << shift
     rise = (up_i << _WIDTH) - up_i  # from one telescoping term's offset to the next one's
     factors = [
-        ((k >> shift) & _MASK, k >> (shift + _WIDTH), k & _MASK, m) for k, m in factor_terms.items()
+        ((k >> shift) & _MASK, k >> (shift + _WIDTH), k & _MASK, m)
+        for k, m in zip(factor_keys, factor_coeffs)
     ]
 
     def table(pair: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -378,10 +418,9 @@ def divided_difference(
 
     if tables is None:
         tables = {}
-    intern = ({} if pool is None else pool).setdefault
     out: dict[int, int] = {}
     get = out.get
-    for key, coeff in terms.items():
+    for key, coeff in zip(keys, f._coeffs):
         pair = key & ceiling
         rows = tables.get(pair)
         if rows is None:
@@ -393,15 +432,14 @@ def divided_difference(
                 new = base - offset
                 c = get(new)
                 if c is None:
-                    out[intern(new, new)] = signed
+                    out[new] = signed
                 else:
-                    # assigning to a present key keeps the stored key object
                     c += signed
                     if c:
                         out[new] = c
                     else:
                         del out[new]
-    return _of(out)
+    return _of(out, pool)
 
 
 def check_divided_difference(f: Polynomial, i: int, quotient: Polynomial) -> None:
@@ -420,13 +458,13 @@ def check_divided_difference(f: Polynomial, i: int, quotient: Polynomial) -> Non
     up_i = 1 << shift
     up_next = up_i << _WIDTH
     step = up_i - up_next
-    terms = quotient._terms.items()
-    diff = {key + up_i: c for key, c in terms}  # distinct keys: nothing to add yet
+    keys, coeffs = quotient._keys, quotient._coeffs
+    diff = {key + up_i: c for key, c in zip(keys, coeffs)}  # distinct keys: nothing to add yet
     get = diff.get
-    for key, c in terms:
+    for key, c in zip(keys, coeffs):
         k = key + up_next
         diff[k] = get(k, 0) - c
-    for key, c in f._terms.items():
+    for key, c in zip(f._keys, f._coeffs):
         a = (key >> shift) & _MASK
         b = (key >> (shift + _WIDTH)) & _MASK
         if a != b:
@@ -451,7 +489,13 @@ def beta_component(f: Polynomial, d: int) -> Polynomial:
     """The x-polynomial coefficient of b^d in f; d must be nonnegative."""
     if d < 0:
         raise ValueError(f"b-layer must be nonnegative, got {d}")
-    return _of({k - d: c for k, c in f._terms.items() if k & _MASK == d})
+    # keys of one layer stay distinct once d is taken off, so no dict is needed
+    keys, coeffs = [], []
+    for k, c in zip(f._keys, f._coeffs):
+        if k & _MASK == d:
+            keys.append(k - d)
+            coeffs.append(c)
+    return _frozen(tuple(keys), tuple(coeffs))
 
 
 def top_component(f: Polynomial) -> tuple[int, Polynomial]:
@@ -466,11 +510,11 @@ def leading_monomial_taillex(f: Polynomial) -> tuple[Monomial, int]:
     """Tail-lex maximal monomial of a pure x-polynomial, with its coefficient."""
     if f.is_zero():
         raise ValueError("leading monomial of the zero polynomial is undefined")
-    if any(k & _MASK for k in f._terms):
+    if any(k & _MASK for k in f._keys):
         raise ValueError("leading monomial requires a polynomial free of b")
     # higher indices sit in higher bits, so on b-free keys integer order is tail-lex
-    key = max(f._terms)
-    return _view(key), f._terms[key]
+    key = max(f._keys)
+    return _view(key), f._coeffs[f._keys.index(key)]
 
 
 class Remainder:
@@ -487,8 +531,8 @@ class Remainder:
     __slots__ = ("_terms", "_heap")
 
     def __init__(self, f: Polynomial):
-        self._terms = dict(f._terms)
-        self._heap = [(k & _MASK, -k) for k in self._terms]
+        self._terms = dict(zip(f._keys, f._coeffs))
+        self._heap = [(k & _MASK, -k) for k in f._keys]
         heapify(self._heap)
 
     def __bool__(self) -> bool:
@@ -513,7 +557,7 @@ class Remainder:
         terms = self._terms
         get = terms.get
         created = []
-        for key, c in f._terms.items():
+        for key, c in zip(f._keys, f._coeffs):
             key += d
             old = get(key)
             if old is None:

@@ -139,6 +139,43 @@ def test_subtraction_is_addition_of_the_negative(ftriples, gtriples):
     assert len(f - f) == 0
 
 
+def _observed(f):
+    """Everything a caller can read off f that must not depend on the order
+    its terms are stored in."""
+    layers = [beta_component(f, d) for d in range(f.beta_degree() + 2)]
+    return (
+        hash(f),
+        f.ray(),
+        list(f.items()),
+        list(f.monomials()),
+        [f.coefficient(m.xexp, m.bexp) for m, _ in f.items()],
+        f.coefficient((9,)),
+        [(hash(g), list(g.items())) for g in layers],
+        top_component(f) if f else None,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TRIPLES, st.integers(1, 4), st.integers(-3, 3), st.data())
+def test_term_order_is_invisible(triples, i, scale, data):
+    # the same terms inserted in two orders are stored in two orders, and
+    # nothing read off them, nor off -f, c * f or swap_action(f, i), differs
+    f = Polynomial.from_terms((c, tuple(x), b) for c, x, b in triples)
+    terms = data.draw(st.permutations(list(f.items())))
+    g = Polynomial(terms)
+    assert g._keys == tuple(packed_key(*m) for m, _ in terms)
+    for p, q in ((f, g), (-f, -g), (scale * f, scale * g), (swap_action(f, i), swap_action(g, i))):
+        assert p == q and q == p
+        assert _observed(p) == _observed(q)
+    if len(terms) >= 2:
+        # a changed coefficient, or a monomial that f lacks, in place of
+        # one term: equal lengths in another order, and unequal
+        (m, k), rest = terms[0], terms[1:]
+        for changed in ([(m, k + 1 if k != -1 else 2)], [(Monomial((9,)), k)]):
+            h = Polynomial(rest + changed)
+            assert len(h) == len(f) and h != f and f != h
+
+
 # -- field limits ------------------------------------------------------------------
 
 
@@ -319,13 +356,16 @@ def test_divided_difference_keeps_tables_and_pool_across_calls(batch, i, which):
     # every output key is the pool's object
     xi, xnext = Polynomial.x(i), Polynomial.x(i + 1)
     factor = (ONE, xi, xi * xnext, ONE + B * xnext, xi * (ONE + B * xnext))[which]
-    tables, pool = {}, {}
+    tables, pool, held = {}, {}, set()
     for triples in batch:
         f = Polynomial.from_terms((c, tuple(x), b) for c, x, b in triples)
         kept = divided_difference(f, i, factor, tables, pool)
         expected = naive_divided_difference(naive_product(factor, f), i)
         assert kept == divided_difference(f, i, factor) == expected
-        assert all(pool[k] is k for k in kept._terms)
+        assert all(pool[k] is k for k in kept._keys)
+        # only keys that some result kept are interned: cancelled ones are not
+        held.update(kept._keys)
+        assert pool.keys() == held
 
 
 def test_divided_difference_factor_holds_only_its_pair_and_b():

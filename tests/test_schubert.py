@@ -327,7 +327,8 @@ def test_caches_replay_fresh_computations():
     assert not schubert._KEY_POOL
     after = grothendieck(sample_w), lascoux(sample_a), snowy_top_lascoux(sample_a)
     assert after == before
-    assert [sorted(f._terms.items()) for f in after] == [sorted(f._terms.items()) for f in before]
+    terms = [sorted(zip(f._keys, f._coeffs)) for f in after]
+    assert terms == [sorted(zip(f._keys, f._coeffs)) for f in before]
 
 
 def test_memos_share_one_key_object_per_monomial():
@@ -339,12 +340,15 @@ def test_memos_share_one_key_object_per_monomial():
         for memo, kind in ((_grothendieck, "grothendieck"), (_lascoux, "lascoux"))
         for c in enumerate_cn(6)
     ]
-    keys = [k for f, _ in members for k in f._terms]
+    keys = [k for f, _ in members for k in f._keys]
     bases = sum(base for _, base in members)
     assert (len(keys), len(set(keys)), bases) == (28_984, 2_508, 264)
     assert len({id(k) for k in keys}) <= 2_508 + bases
     pool = schubert._KEY_POOL
-    assert all(pool[k] is k for f, base in members if not base for k in f._terms)
+    assert all(pool[k] is k for f, base in members if not base for k in f._keys)
+    # keys are interned when a step's result is frozen, so the pool holds
+    # exactly the keys that the stepped entries keep, and no cancelled one
+    assert pool.keys() == {k for f, base in members if not base for k in f._keys}
     # a call that passes no tables or pool leaves the shared ones untouched,
     # though it needs tables and keys that they do not hold
     factor, tables = schubert._step_factor(4, "lascoux")
@@ -354,9 +358,23 @@ def test_memos_share_one_key_object_per_monomial():
     assert out == divided_difference(factor * f, 4)
     assert demazure(f, 4) == divided_difference(Polynomial.x(4) * f, 4)
     assert (tables, pool) == (held, before)
-    assert not out._terms.keys() <= pool.keys()
+    assert not set(out._keys) <= pool.keys()
     assert divided_difference(f, 4, factor, tables) == out
     assert len(tables) > len(held)
+
+
+def test_memo_polynomials_hold_two_tuples():
+    # a memory guard that reads sizes, not the resident set: each memoized
+    # polynomial holds its terms in two tuples, 16 bytes a term beside the
+    # two tuple headers, and no per-instance dict
+    assert Polynomial.__slots__ == ("_keys", "_coeffs")
+    members = [memo(c) for memo in (_grothendieck, _lascoux) for c in enumerate_cn(6)]
+    assert not any(hasattr(f, "__dict__") for f in members)
+    assert all(type(f._keys) is type(f._coeffs) is tuple for f in members)
+    terms = sum(len(f) for f in members)
+    held = sum(sys.getsizeof(f._keys) + sys.getsizeof(f._coeffs) for f in members)
+    assert terms == 28_984
+    assert held <= 16 * terms + 2 * sys.getsizeof(()) * len(members)
 
 
 def test_monomial_support_bound():
