@@ -52,10 +52,9 @@ state.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
-from itertools import repeat
+from math import gcd
 from operator import or_
 from typing import Iterable, Iterator, NamedTuple
 
@@ -226,14 +225,15 @@ class Polynomial:
         return max((k & _MASK for k in self._keys), default=-1)
 
     def ray(self) -> frozenset:
-        """Normal form under scaling by a nonzero rational: each term's
-        coefficient divided by the one at the least key. f.ray() == g.ray()
-        exactly when f = c * g for some rational c != 0, or both are zero."""
-        keys = self._keys
+        """Normal form under scaling by a nonzero rational: the primitive
+        integer vector, the coefficients divided by their gcd, signed so that
+        the one at the least key is positive. f.ray() == g.ray() exactly
+        when f = c * g for some rational c != 0, or both are zero."""
+        keys, coeffs = self._keys, self._coeffs
         if not keys:
             return frozenset()
-        c0 = self._coeffs[keys.index(min(keys))]
-        return frozenset(zip(keys, map(Fraction, self._coeffs, repeat(c0))))
+        d = gcd(*coeffs) if coeffs[keys.index(min(keys))] > 0 else -gcd(*coeffs)
+        return frozenset(zip(keys, [c // d for c in coeffs]))
 
     def __len__(self) -> int:
         return len(self._keys)

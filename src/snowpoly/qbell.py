@@ -12,7 +12,7 @@ from operator import add
 from typing import Callable, Iterable
 
 from .compositions import enumerate_snowy_cn
-from .diagrams import RookDiagram, dark, key_diagram
+from .diagrams import RookDiagram
 
 QPolynomial = tuple[int, ...]
 
@@ -123,10 +123,13 @@ def bell(n: int) -> int:
 
 
 def enumerate_rook_n(n: int) -> list[RookDiagram]:
-    """Non-attacking rook diagrams inside the staircase of size n: the dark
-    clouds of the key diagrams of the snowy box compositions, so the rook of
-    row r sits in column alpha_r. Listed in the order of enumerate_snowy_cn."""
-    return [dark(key_diagram(alpha)) for alpha in enumerate_snowy_cn(n)]
+    """Non-attacking rook diagrams inside the staircase of size n, one per
+    snowy box composition alpha and in the order of enumerate_snowy_cn: the
+    rook of row r sits in column alpha_r. The dark clouds of their key
+    diagrams, the snow route, are the oracle in tests/test_qbell.py."""
+    cols = range(1, n)
+    masks = ([1 << a >> 1 for a in alpha] for alpha in enumerate_snowy_cn(n))
+    return [RookDiagram._trusted(rows, cols) for rows in masks]
 
 
 def gr_stat(rook: RookDiagram, n: int) -> int:

@@ -111,7 +111,7 @@ def _top_layer_checks(items, top, rajcode, is_unit, noun, unit_noun):
     pairs = len(items) * (len(items) - 1) // 2
     yield (
         "proportional iff equal rajcode",
-        # a top layer's ray is its normal form under rational scaling
+        # a top layer's ray is its primitive integer vector
         same_partition([tops[v].ray() for v in items], [codes[v] for v in items]),
         f"{pairs} pairs checked",
         pairs,

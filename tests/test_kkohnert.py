@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from snowpoly import kkohnert, verify
+from snowpoly import verify
 from snowpoly.compositions import enumerate_cn, raj, rajcode
 from snowpoly.diagrams import Diagram, key_diagram, snow
 from snowpoly.kkohnert import (
@@ -252,12 +252,6 @@ def test_witness_worked_example():
         (6, 1), (6, 2),
     }
     assert g.cells == snow(key_diagram((1, 3, 4, 0, 4, 3))).cells
-
-
-def test_witness_raises_on_a_gap(monkeypatch):
-    monkeypatch.setattr(kkohnert, "_left_justified_beyond", lambda g, col: False)
-    with pytest.raises(ArithmeticError, match=r"\(0, 2, 1\).*dark cloud \(3, 1\)"):
-        witness_of((0, 2, 1))
 
 
 def test_witness_rejects_a_base_that_is_not_a_key_diagram():

@@ -1,16 +1,22 @@
 """Polynomial ring, operators, and their algebraic identities."""
 
+import ast
+import glob
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import zip_longest
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snowpoly import schubert
+from snowpoly import compositions, permutations, schubert
+from snowpoly.compositions import enumerate_cn
+from snowpoly.permutations import all_permutations
 from snowpoly.polyring import (
     Monomial,
     Polynomial,
@@ -24,6 +30,7 @@ from snowpoly.polyring import (
     swap_action,
     top_component,
 )
+from snowpoly.verify import same_partition
 
 X1, X2, X3 = Polynomial.x(1), Polynomial.x(2), Polynomial.x(3)
 B = Polynomial.beta()
@@ -682,3 +689,98 @@ def test_demazure_of_shifted_monomial_leading_cases():
         else:
             expected[i - 1] += 1
             assert (mono, coeff) == (Monomial.make(expected), -1)
+
+
+# -- rays ------------------------------------------------------------------------
+
+
+def fraction_ray(f):
+    """Oracle for Polynomial.ray: each term's coefficient divided, as a
+    Fraction, by the one at the least key."""
+    if not f:
+        return frozenset()
+    c0 = next(f.items())[1]  # items come in ascending key order
+    return frozenset((packed_key(*m), Fraction(c, c0)) for m, c in f.items())
+
+
+_SIGNED_TRIPLES = st.lists(
+    st.tuples(
+        st.integers(-12, 12),
+        st.lists(st.integers(0, 2), max_size=3),
+        st.integers(0, 1),
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SIGNED_TRIPLES, _SIGNED_TRIPLES, st.integers(-6, 6))
+def test_ray_agrees_with_the_fraction_oracle(ftriples, gtriples, c):
+    # small exponents and coefficients make equal supports, and so equal
+    # rays of unequal polynomials, common among the drawn pairs
+    f = Polynomial.from_terms((k, tuple(x), b) for k, x, b in ftriples)
+    g = Polynomial.from_terms((k, tuple(x), b) for k, x, b in gtriples)
+    assert (f.ray() == g.ray()) == (fraction_ray(f) == fraction_ray(g))
+    if c:
+        assert (c * f).ray() == f.ray()
+    ray = f.ray()
+    assert all(type(k) is int for _, k in ray)
+    assert gcd(*(k for _, k in ray)) == (1 if f else 0)
+    if f:
+        assert dict(ray)[min(dict(ray))] > 0
+
+
+def test_ray_edge_cases():
+    f = poly_of((-6, (1, 2), 0), (4, (0, 1, 1), 1), (10, (), 2))
+    assert dict(f.ray()) == {
+        packed_key((), 2): 5,
+        packed_key((1, 2), 0): -3,
+        packed_key((0, 1, 1), 1): 2,
+    }
+    mixed = poly_of((3, (2,), 0), (-3, (0, 2), 0), (-7, (1, 1), 1))
+    for c in (*range(-6, 0), *range(1, 7)):
+        assert (c * f).ray() == f.ray() and (c * mixed).ray() == mixed.ray()
+    assert f.ray() != mixed.ray()
+    # a single term, of either sign, has the ray of its monomial
+    for k in (1, -1, 12, -35):
+        assert Polynomial.term(k, (0, 3), 2).ray() == {(packed_key((0, 3), 2), 1)}
+    assert Polynomial.zero().ray() == frozenset() == fraction_ray(Polynomial.zero())
+    assert ONE.ray() != Polynomial.zero().ray()
+    # the same support in ratios 1 : 1 : 2 rather than 1 : 1 : 1
+    g = poly_of((-6, (1, 2), 0), (4, (0, 1, 1), 1), (20, (), 2))
+    assert f.ray() != g.ray() and fraction_ray(f) != fraction_ray(g)
+
+
+@pytest.mark.parametrize("family", ["S_6", "C_6"])
+def test_same_partition_on_integer_and_fraction_rays(family):
+    # the psw and top-las proportionality checks decide the same on the
+    # integer rays as on the oracle rays, over every top layer at n = 6
+    if family == "S_6":
+        items = list(all_permutations(6))
+        tops = [schubert.top_grothendieck(w) for w in items]
+        codes = [permutations.rajcode(w, 6) for w in items]
+    else:
+        items = enumerate_cn(6)
+        tops = [schubert.top_lascoux(a) for a in items]
+        codes = [compositions.rajcode(a) for a in items]
+    rays, oracle = [f.ray() for f in tops], [fraction_ray(f) for f in tops]
+    assert same_partition(rays, oracle)
+    assert same_partition(rays, codes) and same_partition(oracle, codes)
+
+
+def test_no_module_imports_fractions():
+    # the package computes in exact integer arithmetic, rays included
+    package = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    found = []
+    for path in glob.glob(os.path.join(package, "snowpoly", "**", "*.py"), recursive=True):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [path for name in names if name.split(".")[0] == "fractions"]
+    assert found == []

@@ -7,8 +7,8 @@ from math import comb
 import pytest
 
 from snowpoly import qbell
-from snowpoly.compositions import canonical, dark_inverse, is_snowy, raj
-from snowpoly.diagrams import Diagram, RookDiagram, stair
+from snowpoly.compositions import canonical, dark_inverse, enumerate_snowy_cn, is_snowy, raj
+from snowpoly.diagrams import Diagram, RookDiagram, dark, key_diagram, stair
 from snowpoly.qbell import (
     bell,
     enumerate_rook_n,
@@ -107,6 +107,19 @@ def test_rook_enumeration():
     assert len(enumerate_rook_n(4)) == 15
     for n in range(1, 8):
         assert len(enumerate_rook_n(n)) == bell(n)
+
+
+def test_rooks_are_the_dark_clouds_of_the_snowy_key_diagrams():
+    # oracle: the snow construction on the key diagram of each snowy
+    # composition, in the same order; the rook of row r sits in column
+    # alpha_r, so row r's mask is the bit of that column, or 0
+    for n in range(1, 9):
+        snowy = enumerate_snowy_cn(n)
+        rooks = enumerate_rook_n(n)
+        assert rooks == [dark(key_diagram(alpha)) for alpha in snowy]
+        for rook, alpha in zip(rooks, snowy):
+            assert [mask.bit_length() for mask in rook._rows] == list(alpha)
+            assert all(mask & (mask - 1) == 0 for mask in rook._rows)
 
 
 def test_rook_enumeration_is_every_non_attacking_subset():
