@@ -42,11 +42,12 @@ small table of output offsets per distinct pair, and each term forms its
 output keys by subtracting those offsets from its key with both fields
 filled with ones. Keys built by subtraction carry no spare digit; see its
 docstring. A caller that repeats one (i, factor) may keep the tables
-across calls, and may pass a pool {key: key} through which the result's
-keys are interned when it is frozen, so results that share the pool share
-one int per monomial and the pool holds only keys that some result kept;
-`schubert` does both for every ascent step. A call without them keeps no
-state.
+across calls, and may pass a pool {obj: obj} through which the result's
+keys, and then its key tuple and its coefficient tuple, are interned when
+it is frozen. Results that share the pool then share one int per monomial
+and one object per equal tuple, and the pool holds only keys and tuples
+that some result kept; `schubert` does both for every ascent step. A call
+without them keeps no state.
 """
 
 from __future__ import annotations
@@ -127,13 +128,17 @@ def _view(key: int) -> Monomial:
     return tuple.__new__(Monomial, (tuple(xexp), bexp))
 
 
-def _of(terms: dict, pool: dict[int, int] | None = None) -> "Polynomial":
+def _of(terms: dict, pool: dict | None = None) -> "Polynomial":
     """Freeze a working term dict into a Polynomial; its keys must be valid
-    packed keys and its coefficients nonzero. With a pool {key: key}, each
-    key is looked up there, and added if absent, and the result stores the
-    pool's object."""
-    keys = tuple(terms) if pool is None else tuple(map(pool.setdefault, terms, terms))
-    return _frozen(keys, tuple(terms.values()))
+    packed keys and its coefficients nonzero. With a pool {obj: obj}, each
+    key, then the key tuple and the coefficient tuple, is looked up there,
+    and added if absent, and the result stores the pool's objects. An int
+    never equals a tuple, so one pool holds both kinds."""
+    if pool is None:
+        return _frozen(tuple(terms), tuple(terms.values()))
+    keys = tuple(map(pool.setdefault, terms, terms))
+    coeffs = tuple(terms.values())
+    return _frozen(pool.setdefault(keys, keys), pool.setdefault(coeffs, coeffs))
 
 
 def _frozen(keys: tuple, coeffs: tuple) -> "Polynomial":
@@ -324,7 +329,7 @@ def divided_difference(
     i: int,
     factor: Polynomial | None = None,
     tables: dict[int, tuple] | None = None,
-    pool: dict[int, int] | None = None,
+    pool: dict | None = None,
 ) -> Polynomial:
     """(g - s_i g) / (x_i - x_{i+1}) for g = factor * f, exact by
     antisymmetry, in one pass over f: the product g is never built. factor
@@ -353,13 +358,14 @@ def divided_difference(
     A table depends only on (i, factor, pair), so a caller that repeats
     the same (i, factor) may keep one `tables` dict for it and pass it to
     every such call; it must never pass it with another index or factor.
-    A caller may also pass a `pool`, a dict {key: key}. The terms are
+    A caller may also pass a `pool`, a dict {obj: obj}. The terms are
     summed in a private dict and frozen once, after the last term of f:
     only then is each surviving key looked up in the pool, and added if
-    absent, and the result stores the pool's object. Results that share a
-    pool then share one int per monomial, and a key whose coefficient
-    cancelled never reaches the pool. Without them, the call uses a
-    throwaway tables dict and leaves no state behind.
+    absent, then the tuple of those keys and the tuple of coefficients,
+    and the result stores the pool's objects. Results that share a pool
+    then share one int per monomial and one object per equal tuple, and a
+    key whose coefficient cancelled never reaches the pool. Without them,
+    the call uses a throwaway tables dict and leaves no state behind.
 
     OverflowError is raised exactly when the product factor * f would raise
     it: when, in some field, the largest exponent of f plus the largest of

@@ -360,19 +360,23 @@ def test_divided_difference_takes_its_factor(triples, i):
 def test_divided_difference_keeps_tables_and_pool_across_calls(batch, i, which):
     # one (i, factor) keeps its tables and pool over many calls, as every
     # ascent step does: each call equals a fresh one and the oracle, and
-    # every output key is the pool's object
+    # every output key and both output tuples are the pool's objects
     xi, xnext = Polynomial.x(i), Polynomial.x(i + 1)
     factor = (ONE, xi, xi * xnext, ONE + B * xnext, xi * (ONE + B * xnext))[which]
-    tables, pool, held = {}, {}, set()
+    tables, pool, held, tuples = {}, {}, set(), set()
     for triples in batch:
         f = Polynomial.from_terms((c, tuple(x), b) for c, x, b in triples)
         kept = divided_difference(f, i, factor, tables, pool)
         expected = naive_divided_difference(naive_product(factor, f), i)
         assert kept == divided_difference(f, i, factor) == expected
         assert all(pool[k] is k for k in kept._keys)
+        assert pool[kept._keys] is kept._keys and pool[kept._coeffs] is kept._coeffs
         # only keys that some result kept are interned: cancelled ones are not
         held.update(kept._keys)
-        assert pool.keys() == held
+        tuples.update((kept._keys, kept._coeffs))
+        assert {k for k in pool if type(k) is int} == held
+        assert {t for t in pool if type(t) is tuple} == tuples
+        assert len(pool) == len(held) + len(tuples)
 
 
 def test_divided_difference_factor_holds_only_its_pair_and_b():

@@ -33,7 +33,7 @@ from snowpoly.schubert import (
     vhat_basis,
 )
 from snowpoly.verify import run_suite
-from tests.test_polyring import bottom_leading_term, taillex_key
+from tests.test_polyring import bottom_leading_term, fraction_ray, taillex_key
 
 ONE = Polynomial.one()
 B = Polynomial.beta()
@@ -332,8 +332,9 @@ def test_caches_replay_fresh_computations():
 
 
 def test_memos_share_one_key_object_per_monomial():
-    # a memory guard: every step interns its output keys in one pool, so
-    # only the base cases x^c hold key objects of their own
+    # a memory guard: every step interns its output keys, and its two
+    # tuples, in one pool, so only the base cases x^c hold key objects of
+    # their own
     schubert.clear_caches()
     members = [
         (memo(c), schubert._ascent(c, kind) is None)
@@ -345,10 +346,19 @@ def test_memos_share_one_key_object_per_monomial():
     assert (len(keys), len(set(keys)), bases) == (28_984, 2_508, 264)
     assert len({id(k) for k in keys}) <= 2_508 + bases
     pool = schubert._KEY_POOL
-    assert all(pool[k] is k for f, base in members if not base for k in f._keys)
-    # keys are interned when a step's result is frozen, so the pool holds
-    # exactly the keys that the stepped entries keep, and no cancelled one
-    assert pool.keys() == {k for f, base in members if not base for k in f._keys}
+    stepped = [f for f, base in members if not base]
+    assert all(pool[k] is k for f in stepped for k in f._keys)
+    # keys are interned when a step's result is frozen, so the pool's ints
+    # are exactly the keys that the stepped entries keep, and no cancelled one
+    assert {k for k in pool if type(k) is int} == {k for f in stepped for k in f._keys}
+    # so are the result's two tuples: the pool's tuples are exactly the
+    # distinct key and coefficient tuples, and every stepped entry holds
+    # the pool's own objects
+    key_tuples, coeff_tuples = {f._keys for f in stepped}, {f._coeffs for f in stepped}
+    assert (len(key_tuples), len(coeff_tuples)) == (810, 196)
+    assert {t for t in pool if type(t) is tuple} == key_tuples | coeff_tuples
+    assert all(pool[f._keys] is f._keys and pool[f._coeffs] is f._coeffs for f in stepped)
+    assert {type(k) for k in pool} == {int, tuple}
     # a call that passes no tables or pool leaves the shared ones untouched,
     # though it needs tables and keys that they do not hold
     factor, tables = schubert._step_factor(4, "lascoux")
@@ -366,7 +376,8 @@ def test_memos_share_one_key_object_per_monomial():
 def test_memo_polynomials_hold_two_tuples():
     # a memory guard that reads sizes, not the resident set: each memoized
     # polynomial holds its terms in two tuples, 16 bytes a term beside the
-    # two tuple headers, and no per-instance dict
+    # two tuple headers, and no per-instance dict, and equal tuples are
+    # stored once
     assert Polynomial.__slots__ == ("_keys", "_coeffs")
     members = [memo(c) for memo in (_grothendieck, _lascoux) for c in enumerate_cn(6)]
     assert not any(hasattr(f, "__dict__") for f in members)
@@ -375,6 +386,10 @@ def test_memo_polynomials_hold_two_tuples():
     held = sum(sys.getsizeof(f._keys) + sys.getsizeof(f._coeffs) for f in members)
     assert terms == 28_984
     assert held <= 16 * terms + 2 * sys.getsizeof(()) * len(members)
+    # equal tuples are shared through the pool, so the distinct tuple
+    # objects take well under the per-entry sum (about 57% of it)
+    distinct = {id(t): t for f in members for t in (f._keys, f._coeffs)}
+    assert sum(map(sys.getsizeof, distinct.values())) <= 0.6 * held
 
 
 def test_monomial_support_bound():
@@ -389,8 +404,9 @@ def test_monomial_support_bound():
 
 def is_scalar_multiple(f, g):
     """Oracle for the proportionality the psw and top-las suites decide
-    through rays: f = c * g for some nonzero rational c, or both are zero."""
-    return f.ray() == g.ray()
+    through rays: f = c * g for some nonzero rational c, or both are zero.
+    It compares Fraction rays, not the production `Polynomial.ray`."""
+    return fraction_ray(f) == fraction_ray(g)
 
 
 def test_proportional_tops_within_equivalence_classes():
@@ -731,6 +747,13 @@ def test_vhat_basis_sizes():
     assert vhat_basis(1) == ([()], [()])
     f5, s5 = vhat_basis(5)
     assert (len(f5), len(s5)) == (52, 52)
+
+
+def test_vhat_basis_matches_the_filter_oracle():
+    # oracle: S_n filtered through is_inverse_fireworks, in lexicographic order
+    for n in range(1, 9):
+        oracle = [canonical(w) for w in all_permutations(n) if is_inverse_fireworks(w)]
+        assert vhat_basis(n)[0] == oracle, n
 
 
 def test_vhat_basis_members():
