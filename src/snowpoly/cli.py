@@ -17,7 +17,7 @@ from . import compositions, diagrams, qbell, schubert, verify
 from .diagrams import Diagram, SnowDiagram, key_diagram, render_ascii, rothe_diagram, snow
 from .kkohnert import PackedClosure, enumerate_kkd
 from .permutations import parse_one_line, shadow_lines, turning_points
-from .polyring import Polynomial, beta_component, top_component
+from .polyring import Polynomial, beta_component
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -109,18 +109,10 @@ def polynomial_doc(p: Polynomial) -> dict:
     }
 
 
-def diagram_doc(d) -> dict:
-    if isinstance(d, SnowDiagram):
-        return {
-            "kind": "diagram",
-            "cells": [
-                {"row": r, "col": c, "label": d.label((r, c))}
-                for r, c in sorted(d.cells)
-            ],
-        }
+def diagram_doc(d: SnowDiagram) -> dict:
     return {
         "kind": "diagram",
-        "cells": [{"row": r, "col": c} for r, c in sorted(d.cells)],
+        "cells": [{"row": r, "col": c, "label": d.label((r, c))} for r, c in sorted(d.cells)],
     }
 
 
@@ -132,11 +124,13 @@ def _emit(args, text: str, doc: dict) -> None:
 
 
 def _cmd_polynomial(args) -> int:
-    poly = args.compute(args.parse(args.index))
+    index = args.parse(args.index)
     if args.top:
-        poly = top_component(poly)[1]
+        poly = args.compute_top(index)
     elif args.beta is not None:
-        poly = beta_component(poly, args.beta)
+        poly = beta_component(args.compute(index), args.beta)
+    else:
+        poly = args.compute(index)
     _emit(args, render_polynomial(poly), polynomial_doc(poly))
     return 0
 
@@ -283,18 +277,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text, metavar, parse, compute in [
+    for name, help_text, metavar, parse, compute, compute_top in [
         ("groth", "Grothendieck polynomial of a permutation", "perm",
-         parse_one_line, schubert.grothendieck),
+         parse_one_line, schubert.grothendieck, schubert.top_grothendieck),
         ("lascoux", "Lascoux polynomial of a weak composition", "comp",
-         parse_composition, schubert.lascoux),
+         parse_composition, schubert.lascoux, schubert.top_lascoux),
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("index", metavar=metavar)
         layer = p.add_mutually_exclusive_group()
         layer.add_argument("--top", action="store_true", help="top b-layer only")
         layer.add_argument("--beta", type=int, help="a single b-layer")
-        p.set_defaults(fn=_cmd_polynomial, parse=parse, compute=compute)
+        p.set_defaults(fn=_cmd_polynomial, parse=parse, compute=compute, compute_top=compute_top)
 
     p = sub.add_parser("snow", help="snow diagram of a diagram")
     _add_diagram_inputs(p)

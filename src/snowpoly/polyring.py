@@ -342,12 +342,12 @@ def divided_difference(
     a new pair builds that pair's table, the image of x_i^a x_{i+1}^c under
     the operator, by the telescoping rule: x_i^A x_{i+1}^C with A > C goes
     to sum_{j=C}^{A-1} x_i^j x_{i+1}^(A+C-1-j), and to minus the same sum
-    with A and C exchanged when A < C. The table groups the image's terms
-    by coefficient, each as an offset below a ceiling that fills the fields
-    of x_i and x_{i+1} with ones. A term of f then adds its coefficient,
-    times the group's, at `(key | ceiling) - offset` for each offset: the
-    OR replaces the term's own pair by the ceiling, and the subtraction
-    puts in the image's pair and adds its b-exponent.
+    with A and C exchanged when A < C. The table is a flat tuple of the
+    image's nonzero terms (offset, m), each offset below a ceiling that
+    fills the fields of x_i and x_{i+1} with ones. A term of f adds its
+    coefficient times m at `(key | ceiling) - offset`, the accumulate of
+    `+` and `*`: the OR replaces the term's own pair by the ceiling, and
+    the subtraction puts in the image's pair and adds its b-exponent.
 
     Every key is built by subtracting a positive int from a larger one.
     CPython gives the sum of two multi-digit ints one spare digit, which the
@@ -405,7 +405,7 @@ def divided_difference(
         for k, m in zip(factor_keys, factor_coeffs)
     ]
 
-    def table(pair: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    def table(pair: int) -> tuple[tuple[int, int], ...]:
         a, c = (pair >> shift) & _MASK, pair >> (shift + _WIDTH)
         image: dict[int, int] = {}
         for da, dc, e, m in factors:
@@ -416,11 +416,7 @@ def divided_difference(
             first = ceiling - small * up_i - ((big - 1) << (shift + _WIDTH)) - e
             for offset in range(first, first + (big - small) * rise, rise):
                 image[offset] = image.get(offset, 0) + m
-        groups: dict[int, list[int]] = {}
-        for offset, m in image.items():
-            if m:
-                groups.setdefault(m, []).append(offset)
-        return tuple((m, tuple(offsets)) for m, offsets in groups.items())
+        return tuple((offset, m) for offset, m in image.items() if m)
 
     if tables is None:
         tables = {}
@@ -432,19 +428,13 @@ def divided_difference(
         if rows is None:
             rows = tables[pair] = table(pair)
         base = key | ceiling
-        for m, offsets in rows:
-            signed = coeff * m
-            for offset in offsets:
-                new = base - offset
-                c = get(new)
-                if c is None:
-                    out[new] = signed
-                else:
-                    c += signed
-                    if c:
-                        out[new] = c
-                    else:
-                        del out[new]
+        for offset, m in rows:
+            new = base - offset
+            c = get(new, 0) + coeff * m
+            if c:
+                out[new] = c
+            else:
+                del out[new]
     return _of(out, pool)
 
 

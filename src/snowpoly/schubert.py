@@ -313,9 +313,9 @@ def _eliminate(target: Polynomial, basis, name) -> dict[Composition, dict[int, i
 
 def vhat_basis(n: int) -> tuple[list[Permutation], list[Composition]]:
     """Index sets for the two bases of the degree-n top span: inverse
-    fireworks permutations and snowy box compositions. `verify.suite_qbell`
-    checks that both have Bell(n) elements, and the psw and top-las suites
-    that each meets every rajcode class once.
+    fireworks permutations and snowy box compositions, Bell(n) of each:
+    `verify.suite_qbell` counts both from their definitions, and the psw
+    and top-las suites check that each meets every rajcode class once.
 
     The inverse fireworks are built directly, not filtered out of S_n. Write
     each block of a set partition of [n] in decreasing order, and order the

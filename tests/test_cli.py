@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from snowpoly import cli, permutations, verify
+from snowpoly import cli, compositions, permutations, qbell, schubert, verify
 from snowpoly.cli import (
     main,
     parse_cells,
@@ -54,6 +54,19 @@ def test_lascoux_top_golden(capsys):
     code, out, _ = run_cli(capsys, "lascoux", "0,2,1", "--top")
     assert code == 0
     assert out.strip() == "x1^2*x2^2*x3"
+
+
+def test_top_layers_come_from_the_library_routes(capsys, monkeypatch):
+    # --top prints what schubert.top_grothendieck and top_lascoux return
+    calls = []
+    for name in ("top_grothendieck", "top_lascoux"):
+        route = getattr(schubert, name)
+        monkeypatch.setattr(
+            schubert, name, lambda index, route=route, name=name: calls.append(name) or route(index)
+        )
+    assert run_cli(capsys, "groth", "1324", "--top") == (0, "x1*x2\n", "")
+    assert run_cli(capsys, "lascoux", "0,2,1", "--top") == (0, "x1^2*x2^2*x3\n", "")
+    assert calls == ["top_grothendieck", "top_lascoux"]
 
 
 def test_rajcode_goldens(capsys):
@@ -204,6 +217,104 @@ def test_verify_fails_on_an_empty_set(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "fake")
     assert code == 1
     assert "[FAIL] pairs agree: 0 pairs checked" in out
+
+
+def _raising(err):
+    def broken(*args):
+        raise err
+
+    return lambda original: broken
+
+
+def _expansions_scaled(c):
+    # each snowy coefficient times c; c = -1 also fails the positivity
+    return lambda expand: lambda f, n: {a: c * v for a, v in expand(f, n).items()}
+
+
+EXPANSIONS = "top layers expand positively into the snowy basis"
+ROOKS = "rook statistics and q-Bell sums"
+BELL = "basis sizes are Bell numbers"
+
+# (suite, owner, name, wrap, the checks that must fail): wrap takes the
+# library's own function and returns the broken one put in its place
+BROKEN_ROUTES = [
+    # a top layer doubled at a non-snowy composition keeps its leading
+    # monomial and its ray, so only the golden table sees it
+    pytest.param(
+        "all", schubert, "top_lascoux",
+        lambda top: lambda a: 2 * top(a) if compositions.canonical(a) == (1, 1) else top(a),
+        {"table row (1, 1)", "tables"}, id="tables-row",
+    ),
+    pytest.param(
+        "all", permutations, "rajcode",
+        lambda code: lambda w, n=None: code(w, n) + (1,) if w == (2, 1, 3) else code(w, n),
+        {"rajcode-equiv S_3"}, id="rajcode-equiv",
+    ),
+    pytest.param(
+        "all", PackedClosure, "polynomial",
+        lambda poly: lambda self: poly(self) + Polynomial.one(),
+        {"K-Kohnert sum equals recursive Lascoux"}, id="kkohnert-sum",
+    ),
+    pytest.param(
+        "all", verify, "lis_lengths",
+        lambda lis: lambda w: [k + 1 for k in lis(w)],
+        {"insertion and shadow correspondences"}, id="shadow-column",
+    ),
+    pytest.param(
+        "all", permutations, "turning_points",
+        lambda turning: lambda w: set(),
+        {"insertion and shadow correspondences"}, id="shadow-turning",
+    ),
+    pytest.param(
+        "all", qbell, "q_stirling",
+        lambda stirling: lambda n, k: stirling(n, k) + (1,),
+        {ROOKS}, id="qbell-stirling",
+    ),
+    pytest.param(
+        "all", qbell, "enumerate_rook_n",
+        lambda rooks: lambda n: rooks(n)[1:],
+        {ROOKS}, id="qbell-rooks",
+    ),
+    pytest.param(
+        "qbell", verify, "is_snowy",
+        lambda snowy: lambda a: snowy(a) and compositions.canonical(a) != (1,),
+        {BELL}, id="bell-snowy",
+    ),
+    pytest.param(
+        "qbell", verify, "is_inverse_fireworks",
+        lambda fireworks: lambda w: fireworks(w) and permutations.canonical(w) != (2, 1),
+        {BELL}, id="bell-fireworks",
+    ),
+    pytest.param(
+        "all", qbell, "hilb_v_stabilized",
+        _raising(ArithmeticError("did not stabilize")),
+        {"stable Hilbert series product formula"}, id="stable-series",
+    ),
+    pytest.param(
+        "all", schubert, "expand_top_into_snowy_basis",
+        _raising(ValueError("outside the span")),
+        {EXPANSIONS}, id="expansion-raises",
+    ),
+    pytest.param(
+        "all", schubert, "expand_top_into_snowy_basis",
+        _expansions_scaled(-1), {EXPANSIONS}, id="expansion-negative",
+    ),
+    pytest.param(
+        "all", schubert, "expand_top_into_snowy_basis",
+        _expansions_scaled(2), {EXPANSIONS}, id="expansion-rebuild",
+    ),
+]
+
+
+@pytest.mark.parametrize("suite, owner, name, wrap, failing", BROKEN_ROUTES)
+def test_each_check_fails_on_its_broken_route(monkeypatch, suite, owner, name, wrap, failing):
+    # the public wrapper is patched, never a memo, so the memos keep true values
+    with monkeypatch.context() as m:
+        m.setattr(owner, name, wrap(getattr(owner, name)))
+        results = verify.run_suite(suite, 4)
+    assert {r.name for r in results if not r.passed} == failing
+    schubert.clear_caches()
+    assert all(r.passed for r in verify.run_suite(suite, 4))
 
 
 def test_verify_refuses_a_scale_below_the_suite_minimum(capsys):

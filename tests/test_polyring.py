@@ -349,7 +349,11 @@ def test_divided_difference_takes_its_factor(triples, i):
     f = Polynomial.from_terms((c, tuple(x), b) for c, x, b in triples)
     xi, xnext = Polynomial.x(i), Polynomial.x(i + 1)
     assert divided_difference(f, i, ONE) == divided_difference(f, i)
-    for m in (ONE, xi, xi * xnext, ONE + B * xnext, xi * (ONE + B * xnext)):
+    # the tables of the last two factors hold several distinct coefficients,
+    # and those of xi + xnext add two factor terms at one offset
+    several = 2 * ONE + 3 * xi - B * xnext + xi * xnext * xnext
+    factors = (ONE, xi, xi * xnext, ONE + B * xnext, xi * (ONE + B * xnext), several, xi + xnext)
+    for m in factors:
         product = naive_product(m, f)
         expected = naive_divided_difference(product, i)
         assert divided_difference(f, i, m) == divided_difference(product, i) == expected
