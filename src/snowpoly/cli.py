@@ -2,8 +2,9 @@
 
 Subcommands expose every computation with plain-text output and an
 optional canonical JSON document (--json). Exit codes: 0 on success, 1 on
-verification failure, 2 on usage or parse errors and when a computation
-runs out of memory.
+verification failure, 2 on usage or parse errors, when a computation
+runs out of memory, and for a `hilb` request past HILB_MAX_LEVEL or
+HILB_MAX_DEGREE, which would run for minutes.
 """
 
 from __future__ import annotations
@@ -230,10 +231,26 @@ def _cmd_shadow(args) -> int:
     return 0
 
 
+# hilb_vn keeps up to 2^(n-1) column sets: n = 19 took 10.8 s and 941 MB on 2 cores
+HILB_MAX_LEVEL = 19
+# hilb_v_truncated makes d^2/2 big-integer additions: d = 10,000 took 5.1 s on 2 cores
+HILB_MAX_DEGREE = 10_000
+
+
 def _cmd_hilb(args) -> int:
     if args.limit is not None:
+        if args.limit > HILB_MAX_DEGREE:
+            raise ValueError(
+                f"--limit {args.limit} is above {HILB_MAX_DEGREE}: the series would "
+                f"take about {args.limit**2 // 20_000_000} s"
+            )
         coeffs = qbell.hilb_v_truncated(args.limit)
     else:
+        if args.n > HILB_MAX_LEVEL:
+            raise ValueError(
+                f"level {args.n} is above {HILB_MAX_LEVEL}: the transfer would keep up to "
+                f"2^{args.n - 1} column sets, about 2^{args.n - HILB_MAX_LEVEL} GB"
+            )
         coeffs = qbell.hilb_vn(args.n)
     _emit(
         args,

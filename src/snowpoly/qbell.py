@@ -7,9 +7,10 @@ by q-exponent, with trailing zeros trimmed.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import inf
 from operator import add
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .compositions import enumerate_snowy_cn
 from .diagrams import RookDiagram
@@ -29,23 +30,6 @@ def qp_add(p: QPolynomial, q: QPolynomial) -> QPolynomial:
     return qp_trim(
         (p[k] if k < len(p) else 0) + (q[k] if k < len(q) else 0) for k in range(n)
     )
-
-
-def qp_mul(p: QPolynomial, q: QPolynomial, degree_cap: int | None = None) -> QPolynomial:
-    if not p or not q:
-        return ()
-    top = len(p) + len(q) - 2
-    if degree_cap is not None:
-        top = min(top, degree_cap)
-    out = [0] * (top + 1)
-    for i, a in enumerate(p):
-        if a == 0 or i > top:
-            continue
-        for j, b in enumerate(q):
-            if i + j > top:
-                break
-            out[i + j] += a * b
-    return qp_trim(out)
 
 
 def qp_rev(p: QPolynomial) -> QPolynomial:
@@ -175,25 +159,34 @@ def _nw_count(rook: RookDiagram, n: float) -> int:
 # -- Hilbert series --------------------------------------------------------------
 
 
-def _rook_transfer(
-    n: int, rows: Iterable[int], weight: Callable[[int, int, int], int]
-) -> QPolynomial:
-    """Generating polynomial of a statistic over the rook placements in the
-    staircase of size n, summed row by row without listing the placements.
+def _raj_weight(r: int, c: int, used: int) -> int:
+    # rows bottom-up: alpha_r = c (0 if row r is empty) plus later rows with larger entries
+    return c + (used >> (c + 1)).bit_count()
 
-    Rows are visited in the given order; the state is the bitmask of
-    columns (bit c for column c) used by the rows already visited.
-    weight(r, c, used) is the increase of the statistic when row r takes a
-    rook in column c, or stays empty when c is 0.
+
+def hilb_vn(n: int) -> QPolynomial:
+    """Degree generating polynomial of the top span at level n: raj over the
+    snowy box compositions, by a bottom-up transfer over rows that applies
+    the closed formula raj(alpha) = sum(alpha) + #{r < r' : alpha_r < alpha_r'}.
+    A state is the bitmask of the columns used by the rows below (bit c for
+    column c), with the raj counts of its placements, which are never listed.
+    `verify.suite_qbell` compares it with the reversed q-Bell polynomial;
+    the northwest transfer and the snow construction, placement by
+    placement, are its oracles in tests/test_qbell.py.
+
+    >>> hilb_vn(4)
+    (1, 1, 2, 4, 3, 3, 1)
     """
+    if n < 1:
+        raise ValueError("n must be positive")
     states: dict[int, dict[int, int]] = {0: {0: 1}}
-    for r in rows:
+    for r in range(n - 1, 0, -1):
         nxt: dict[int, dict[int, int]] = {}
         for used, counts in states.items():
             for c in range(n - r + 1):
                 if c and used >> c & 1:
                     continue
-                shift = weight(r, c, used)
+                shift = _raj_weight(r, c, used)
                 acc = nxt.setdefault(used | (1 << c) if c else used, {})
                 for d, k in counts.items():
                     acc[d + shift] = acc.get(d + shift, 0) + k
@@ -205,38 +198,21 @@ def _rook_transfer(
     return qp_trim(total)
 
 
-def _raj_weight(r: int, c: int, used: int) -> int:
-    # rows bottom-up: alpha_r = c (0 for an empty row) plus the later rows
-    # with a strictly larger entry
-    return c + (used >> (c + 1)).bit_count()
-
-
-def hilb_vn(n: int) -> QPolynomial:
-    """Degree generating polynomial of the top span at level n: raj over the
-    snowy box compositions, by a bottom-up transfer over rows that applies
-    the closed formula raj(alpha) = sum(alpha) + #{r < r' : alpha_r < alpha_r'}.
-
-    `verify.suite_qbell` compares it with the reversed q-Bell polynomial.
-    The northwest transfer and the snow construction, placement by
-    placement, are its oracles in tests/test_qbell.py.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    return _rook_transfer(n, range(n - 1, 0, -1), _raj_weight)
-
-
 def hilb_v_truncated(n_degrees: int) -> QPolynomial:
     """Coefficients of the stable Hilbert series up to the given degree,
-    from the product over m of (1 + q^m / (1 - q)) with 1/(1-q) expanded as
-    a truncated geometric sum."""
-    cap = n_degrees
-    if cap < 0:
+    from the product over m of (1 + q^m / (1 - q)). A factor adds to
+    coefficient k the sum of those up to k - m, so each is one pass of
+    prefix sums: O(n_degrees^2) additions in all, and no coefficient is 0.
+
+    >>> hilb_v_truncated(7)
+    (1, 1, 2, 4, 7, 12, 20, 33)
+    """
+    if n_degrees < 0:
         raise ValueError("degree bound must be nonnegative")
-    acc: QPolynomial = (1,)
-    for m in range(1, cap + 1):
-        factor = qp_trim([1] + [0] * (m - 1) + [1] * (cap - m + 1))
-        acc = qp_mul(acc, factor, degree_cap=cap)
-    return qp_trim((acc + (0,) * (cap + 1))[: cap + 1])
+    acc = [1] + [0] * n_degrees
+    for m in range(1, n_degrees + 1):
+        acc[m:] = map(add, acc[m:], accumulate(acc[: n_degrees + 1 - m]))
+    return tuple(acc)
 
 
 def hilb_v_stabilized(n_degrees: int) -> QPolynomial:

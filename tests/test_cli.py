@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -159,6 +160,30 @@ def test_hilb_golden(capsys):
     assert out.strip() == "1 1 2 1"
     _, out, _ = run_cli(capsys, "hilb", "--limit", "3")
     assert out.strip() == "1 1 2 4"
+    _, out, _ = run_cli(capsys, "hilb", "--limit", "8")
+    assert out.strip() == "1 1 2 4 7 12 20 33 53"
+
+
+def test_hilb_refuses_what_it_cannot_finish(capsys, monkeypatch):
+    # refused before any work, with the bound and an estimate that a float
+    # power would overflow for 100000
+    for argv, bound in (
+        (["1200"], "above 19"),
+        (["20"], "above 19"),
+        (["100000"], "above 19"),
+        (["--limit", "10001"], "above 10000"),
+        (["--limit", "100000"], "above 10000"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "hilb", *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and bound in err, argv
+    # the largest accepted inputs reach the library; stubs keep this fast
+    monkeypatch.setattr(cli.qbell, "hilb_vn", lambda n: (n,))
+    monkeypatch.setattr(cli.qbell, "hilb_v_truncated", lambda d: (d,))
+    assert run_cli(capsys, "hilb", str(cli.HILB_MAX_LEVEL))[:2] == (0, "19\n")
+    assert run_cli(capsys, "hilb", "--limit", str(cli.HILB_MAX_DEGREE))[:2] == (0, "10000\n")
 
 
 def test_snow_output(capsys):
@@ -326,6 +351,8 @@ def test_verify_refuses_a_scale_below_the_suite_minimum(capsys):
     code, out, _ = run_cli(capsys, "verify", "psw", "2")
     assert code == 0
     assert "1 pairs checked" in out
+    with pytest.raises(KeyError, match="unknown suite 'nope'"):
+        verify.run_suite("nope")  # the parser's choices stop it on the command line
 
 
 def test_verify_json_is_one_document(capsys):
@@ -407,6 +434,7 @@ def test_parse_helpers():
     assert parse_composition("0,2,1") == (0, 2, 1)
     assert parse_composition("") == ()
     assert parse_cells("1,3;2,1").cells == {(1, 3), (2, 1)}
+    assert parse_cells("").cells == frozenset()
 
 
 def polynomial_from_doc(doc: dict) -> Polynomial:
@@ -452,6 +480,8 @@ def test_rendering_is_order_independent():
 def test_render_negative_coefficients():
     p = Polynomial.from_terms([(1, (1,), 0), (-2, (0, 1), 0)])
     assert render_polynomial(p) == "x1 - 2*x2"
+    assert render_polynomial(-Polynomial.x(1)) == "-x1"
+    assert render_polynomial(Polynomial.zero()) == "0"
 
 
 def test_render_orders_layers_by_b_degree():

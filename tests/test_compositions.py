@@ -86,6 +86,7 @@ def test_direct_formula_matches_snow_everywhere():
 def test_dark_inverse_examples():
     assert dark_inverse(RookDiagram({(2, 1), (3, 3), (5, 2)})) == (0, 1, 3, 0, 2)
     assert dark_inverse(RookDiagram()) == ()
+    assert dark_inverse({(1, 2)}) == (2,)  # raw cells become a RookDiagram first
     assert dark_inverse(RookDiagram({(1, 2), (3, 4), (4, 3), (5, 1)})) == (2, 0, 4, 3, 1)
     # round trip through the snow construction
     assert diagrams.dark(key_diagram((0, 1, 3, 0, 2))).cells == {(2, 1), (3, 3), (5, 2)}
@@ -150,6 +151,8 @@ def test_s_action_examples():
     assert s_action((0, 2, 1), 1) == (2, 0, 1)
     assert s_action((1,), 1) == (0, 1)
     assert s_action((2, 1), 2) == (2, 0, 1)
+    with pytest.raises(ValueError, match="index must be positive"):
+        s_action((1,), 0)
 
 
 def test_snowy_descent_swap_rule():
@@ -202,6 +205,9 @@ def test_enumerate_cn():
     assert set(enumerate_cn(3)) == {(), (1,), (2,), (0, 1), (1, 1), (2, 1)}
     assert len(enumerate_cn(5)) == 120
     assert all(in_cn(a, 4) for a in enumerate_cn(4))
+    assert not in_cn((1, 1, 1), 3)  # support beyond the first n - 1 rows
+    with pytest.raises(ValueError, match="n must be positive"):
+        enumerate_cn(0)
 
 
 def test_enumerate_snowy_cn_against_brute_filter():
@@ -210,6 +216,8 @@ def test_enumerate_snowy_cn_against_brute_filter():
         assert enumerate_snowy_cn(n) == brute
     assert len(enumerate_snowy_cn(4)) == 15
     assert enumerate_snowy_cn(1) == [()]
+    with pytest.raises(ValueError, match="n must be positive"):
+        enumerate_snowy_cn(0)
 
 
 def test_snowy_from_rajcode_round_trip():

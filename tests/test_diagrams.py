@@ -91,6 +91,10 @@ def test_snow_trivial_and_key_example():
     sd = snow(key_diagram((2, 0, 4, 3, 1)))
     assert sd.darks == {(1, 2), (3, 4), (4, 3), (5, 1)}
     assert sd.flakes == {(1, 3), (1, 4), (2, 1), (2, 3), (2, 4)}
+    sd = snow(key_diagram((0, 2)))
+    assert [sd.label(c) for c in [(1, 2), (2, 1), (2, 2)]] == ["snowflake", "plain", "dark_cloud"]
+    with pytest.raises(KeyError):
+        sd.label((9, 9))  # neither a cell nor a flake
 
 
 def test_dark_examples():

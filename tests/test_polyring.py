@@ -59,6 +59,16 @@ def test_beta_product_from_recursion_step():
 def test_scale_and_integer_multiplication():
     assert (X1 + X2).scale(3) == 3 * (X1 + X2)
     assert (X1 * 0).is_zero()
+    # only a Polynomial is equal to a Polynomial, and only an int scales one
+    assert (ONE == 1) is False
+    for op in (lambda: ONE + 1, lambda: ONE - 1, lambda: ONE * "a"):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_repr_lists_the_terms():
+    assert repr(Polynomial.zero()) == "Polynomial(0)"
+    assert repr(X1 + B) == "Polynomial(1*x^()*b^1 + 1*x^(1,)*b^0)"
 
 
 def test_canonical_form_trims_and_drops_zeros():
@@ -402,6 +412,7 @@ def test_operators_reject_an_index_below_one():
         lambda: divided_difference(X1, 0, X1),
         lambda: demazure(X1, 0),
         lambda: swap_action(X1, 0),
+        lambda: Polynomial.x(0),
     ):
         with pytest.raises(ValueError, match="index must be positive"):
             op()

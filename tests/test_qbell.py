@@ -1,5 +1,6 @@
 """q-analogues, rook statistics, and the Hilbert series."""
 
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb
@@ -20,15 +21,25 @@ from snowpoly.qbell import (
     q_bell,
     q_stirling,
     qp_add,
-    qp_mul,
     qp_rev,
+    qp_trim,
     stirling,
 )
 from snowpoly.verify import run_suite
 
 
+def qp_mul(p, q):
+    """Oracle product of two q-polynomials, every pair of terms in full."""
+    out = [0] * (len(p) + len(q))
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return qp_trim(out)
+
+
 def test_q_stirling_and_q_bell_values():
     assert q_bell(0) == (1,)
+    assert q_bell(-1) == () and q_stirling(-1, 0) == ()
     assert q_bell(3) == (1, 2, 1, 1)
     assert q_stirling(3, 2) == (0, 2, 1)
     assert q_stirling(0, 0) == (1,)
@@ -77,6 +88,7 @@ def test_integer_stirling_and_bell():
     assert [bell(n) for n in range(7)] == [1, 1, 2, 5, 15, 52, 203]
     assert stirling(4, 2) == 7
     assert stirling(5, 0) == 0
+    assert stirling(-1, 0) == 0 and bell(-1) == 0
 
 
 def test_q_bell_degree():
@@ -196,14 +208,31 @@ def test_snow_raj_matches_closed_formula_and_nw_per_placement():
 def nw_weight(r, c, used):
     # rows top-down: the column segment of (r, c) meets the row segments of
     # the earlier rooks in columns right of c
-    return r + c - 1 - (used >> (c + 1)).bit_count() if c else 0
+    return r + c - 1 - (used >> (c + 1)).bit_count()
+
+
+def nw_transfer(n):
+    """Oracle route for hilb_vn: the northwest statistic summed over the
+    staircase rows top-down, counting placements by (columns used, statistic)
+    without listing them."""
+    states = Counter({(0, 0): 1})
+    for r in range(1, n):
+        nxt = Counter()
+        for (used, d), k in states.items():
+            nxt[used, d] += k  # row r stays empty
+            for c in range(1, n - r + 1):
+                if not used >> c & 1:
+                    nxt[used | 1 << c, d + nw_weight(r, c, used)] += k
+        states = nxt
+    total = Counter()
+    for (_, d), k in states.items():
+        total[d] += k
+    return qp_trim(total[d] for d in range(max(total) + 1))
 
 
 def test_northwest_transfer_is_reversed_q_bell():
-    # oracle route for hilb_vn: the northwest statistic summed over the
-    # staircase rows top-down, without listing the placements
     for n in range(1, 13):
-        assert qbell._rook_transfer(n, range(1, n), nw_weight) == qp_rev(q_bell(n))
+        assert nw_transfer(n) == qp_rev(q_bell(n))
 
 
 def test_hilb_vn_values():
@@ -212,6 +241,8 @@ def test_hilb_vn_values():
     for n in range(1, 13):
         assert sum(hilb_vn(n)) == bell(n)
         assert hilb_vn(n) == qp_rev(q_bell(n))
+    with pytest.raises(ValueError):
+        hilb_vn(0)
 
 
 def test_qbell_suite_names_first_level_where_hilbert_series_differs(monkeypatch):
@@ -227,9 +258,23 @@ def test_qbell_suite_names_first_level_where_hilbert_series_differs(monkeypatch)
     assert check.detail.endswith("at n=4")
 
 
+def stable_series_by_products(n_degrees):
+    """Oracle for hilb_v_truncated: each factor 1 + q^m / (1 - q) spelled
+    out as a geometric sum up to n_degrees, multiplied in full, then cut."""
+    acc = (1,)
+    for m in range(1, n_degrees + 1):
+        factor = (1,) + (0,) * (m - 1) + (1,) * (n_degrees - m + 1)
+        acc = qp_mul(acc, factor)[: n_degrees + 1]
+    return acc
+
+
 def test_hilb_v_truncated_values():
     assert hilb_v_truncated(0) == (1,)
     assert hilb_v_truncated(3) == (1, 1, 2, 4)
+    for d in range(40):
+        assert hilb_v_truncated(d) == stable_series_by_products(d)
+    with pytest.raises(ValueError):
+        hilb_v_truncated(-1)
 
 
 def test_hilb_truncation_against_snowy_enumeration_oracle():
@@ -247,11 +292,15 @@ def test_hilb_truncation_against_snowy_enumeration_oracle():
     assert tuple(counts) == hilb_v_truncated(3)
 
 
-def test_hilb_stabilization():
+def test_hilb_stabilization(monkeypatch):
     for degrees in (3, 5, 8):
         assert hilb_v_stabilized(degrees) == hilb_v_truncated(degrees)
     with pytest.raises(ValueError):
         hilb_v_stabilized(-1)
+    # a level-n series whose degree-1 coefficient is n never stabilizes
+    monkeypatch.setattr(qbell, "hilb_vn", lambda n: (1, n))
+    with pytest.raises(ArithmeticError, match="failed to stabilize"):
+        hilb_v_stabilized(3)
 
 
 def test_prepend_largest_entry_shifts_raj():

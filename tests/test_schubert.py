@@ -495,6 +495,8 @@ def test_expand_top_rejects_outsiders():
         expand_top_into_snowy_basis(Polynomial.x(2), 4)  # x2 alone is no rajcode
     with pytest.raises(ValueError):
         expand_top_into_snowy_basis(B * Polynomial.x(1), 4)
+    with pytest.raises(ValueError, match=r"basis element \(0, 2, 1\) falls outside the box for n=3"):
+        expand_top_into_snowy_basis(top_grothendieck((1, 4, 3, 2)), 3)
 
 
 def test_tops_of_positive_combinations_expand_positively():
@@ -597,6 +599,17 @@ def test_expand_grothendieck_rejects_a_box_too_small():
         expand_grothendieck_into_lascoux((1, 2, 4, 3), 2)
     with pytest.raises(ValueError):
         expand_grothendieck_into_lascoux((), 0)
+
+
+@pytest.mark.parametrize("coeffs, match", [
+    ({(3,): {0: 1}}, r"leaves the box for n=2: \(3,\)"),
+    ({(1,): {0: 1, 1: -1}}, r"negative coefficient at \(1,\)"),
+], ids=["box", "sign"])
+def test_expand_grothendieck_guards_fire_on_a_broken_elimination(monkeypatch, coeffs, match):
+    # an exact elimination never trips these guards, so a patched one does
+    monkeypatch.setattr(schubert, "_eliminate", lambda target, basis, name: coeffs)
+    with pytest.raises(ArithmeticError, match=match):
+        expand_grothendieck_into_lascoux((2, 1), 2)
 
 
 def test_expansion_step_cap_raises(monkeypatch):
@@ -747,6 +760,8 @@ def test_vhat_basis_sizes():
     assert vhat_basis(1) == ([()], [()])
     f5, s5 = vhat_basis(5)
     assert (len(f5), len(s5)) == (52, 52)
+    with pytest.raises(ValueError, match="n must be positive"):
+        vhat_basis(0)
 
 
 def test_vhat_basis_matches_the_filter_oracle():
